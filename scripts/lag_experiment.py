@@ -15,9 +15,8 @@ import argparse
 import sys
 
 from warpwatch.dtw import BandSpec, dtw
+from warpwatch.sweep import RADII
 from warpwatch.testkit import SyntheticScenario, synth_pair
-
-RADII = (7, 15, 20, 30, 50)
 
 
 def main() -> int:

@@ -16,9 +16,9 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
@@ -26,15 +26,14 @@ from .dtw import BandSpec, dtw
 from .errors import BandInfeasibleError, CoverageError, ParseError, WarpwatchError
 from .network import KeywordPanel, MetricKind, metric_series
 from .sweep import (
-    CASE_TYPES,
+    DOMAINS,
     METRICS,
-    PREPROCESSES,
-    RADII,
-    THRESHOLDS,
+    PARAMETER_NAMES,
     WINDOWS,
     Preprocess,
     SweepResult,
     enumerate_configs,
+    level_label,
     optimal_configs,
     parameter_reports,
     run_sweep,
@@ -52,8 +51,6 @@ from .timeseries import (
 from .trends import load_segments, load_weekly, msv_merge, rescale_daily
 
 THREADS_ENV = "WARPWATCH_THREADS"
-
-SWEEP_DOMAIN_KEYS = ("metric", "preprocess", "threshold", "window", "case_type", "radius")
 
 
 @dataclass(frozen=True)
@@ -121,23 +118,57 @@ def _load_panel(panel_dir: str) -> KeywordPanel:
     return KeywordPanel.from_mapping({p.stem: read_series_csv(str(p)) for p in paths})
 
 
-def _max_workers() -> int | None:
+def _check_threads_env() -> None:
+    """Reject a malformed thread count. The sweep runs in one thread whatever
+    the value, because its DTW is pure Python and holds the interpreter lock."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
-        return None
+        return
     try:
         value = int(raw)
     except ValueError:
         raise ParseError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
     if value < 1:
         raise ParseError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _outdir(args) -> Path:
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _reconstruct(
+    segments_path: str, weekly_path: str | None, methods: Sequence[Preprocess]
+) -> dict[Preprocess, dict[str, DateIndexedSeries]]:
+    """Daily series per keyword, in keyword order, for each reconstruction method."""
+    by_keyword: dict[str, list] = {}
+    for seg in load_segments(segments_path):
+        by_keyword.setdefault(seg.keyword, []).append(seg)
+    weekly = load_weekly(weekly_path) if Preprocess.RESCALE in methods else {}
+    by_method: dict[Preprocess, dict[str, DateIndexedSeries]] = {}
+    for method in methods:
+        series: dict[str, DateIndexedSeries] = {}
+        for keyword in sorted(by_keyword):
+            if method is Preprocess.RESCALE:
+                if keyword not in weekly:
+                    raise CoverageError(f"keyword {keyword!r} missing from the weekly reference")
+                series[keyword] = rescale_daily(by_keyword[keyword], weekly[keyword])
+            else:
+                series[keyword] = msv_merge(by_keyword[keyword])
+        by_method[method] = series
+    return by_method
+
+
+def _derive_cases(
+    linelist: str, region: str, province: str, start: date, end: date
+) -> tuple[int, dict[CaseKind, DateIndexedSeries]]:
+    """Kept line-list record count, and the confirmed and active series over [start, end]."""
+    records = load_linelist(linelist, region, province)
+    confirmed = daily_confirmed(records, start, end)
+    removed = daily_removed(records, start, end)
+    active = active_cases(confirmed, removed)
+    return len(records), {CaseKind.CONFIRMED: confirmed.series, CaseKind.ACTIVE: active.series}
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +179,27 @@ def _cmd_preprocess(args) -> int:
     if args.method == "rescale" and not args.weekly:
         print("error: --weekly is required with --method rescale", file=sys.stderr)
         return 2
-    segments = load_segments(args.segments)
-    by_keyword: dict[str, list] = {}
-    for seg in segments:
-        by_keyword.setdefault(seg.keyword, []).append(seg)
-
-    weekly = load_weekly(args.weekly) if args.method == "rescale" else None
-    input_paths = [args.segments] + ([args.weekly] if weekly is not None else [])
+    method = Preprocess(args.method)
+    series = _reconstruct(args.segments, args.weekly, [method])[method]
+    input_paths = [args.segments] + ([args.weekly] if method is Preprocess.RESCALE else [])
     manifest = _manifest(
         "preprocess",
         {"method": args.method, "segments": args.segments, "weekly": args.weekly},
         input_paths,
     )
 
-    out = _outdir(args)
     used_slugs: dict[str, str] = {}
-    for keyword in sorted(by_keyword):
+    for keyword in series:
         slug = _slug(keyword)
         if slug in used_slugs:
             raise ParseError(
                 f"keywords {used_slugs[slug]!r} and {keyword!r} map to the same file name {slug}.csv"
             )
         used_slugs[slug] = keyword
-        if args.method == "rescale":
-            if keyword not in weekly:
-                raise CoverageError(f"keyword {keyword!r} missing from the weekly reference")
-            series = rescale_daily(by_keyword[keyword], weekly[keyword])
-        else:
-            series = msv_merge(by_keyword[keyword])
-        write_series_csv(series, str(out / f"{slug}.csv"), manifest.preamble())
-    print(f"wrote {len(by_keyword)} keyword series to {out}")
+    out = _outdir(args)
+    for slug, keyword in used_slugs.items():
+        write_series_csv(series[keyword], str(out / f"{slug}.csv"), manifest.preamble())
+    print(f"wrote {len(series)} keyword series to {out}")
     return 0
 
 
@@ -209,10 +231,7 @@ def _cmd_cases(args) -> int:
     if end < start:
         print(f"error: --end {args.end} precedes --start {args.start}", file=sys.stderr)
         return 2
-    records = load_linelist(args.linelist, args.region, args.province)
-    confirmed = daily_confirmed(records, start, end)
-    removed = daily_removed(records, start, end)
-    active = active_cases(confirmed, removed)
+    n_records, cases = _derive_cases(args.linelist, args.region, args.province, start, end)
     manifest = _manifest(
         "cases",
         {
@@ -225,9 +244,9 @@ def _cmd_cases(args) -> int:
         [args.linelist],
     )
     out = _outdir(args)
-    write_series_csv(confirmed.series, str(out / "confirmed.csv"), manifest.preamble())
-    write_series_csv(active.series, str(out / "active.csv"), manifest.preamble())
-    print(f"kept {len(records)} records; wrote confirmed.csv and active.csv to {out}")
+    write_series_csv(cases[CaseKind.CONFIRMED], str(out / "confirmed.csv"), manifest.preamble())
+    write_series_csv(cases[CaseKind.ACTIVE], str(out / "active.csv"), manifest.preamble())
+    print(f"kept {n_records} records; wrote confirmed.csv and active.csv to {out}")
     return 0
 
 
@@ -238,7 +257,9 @@ def _cmd_dtw(args) -> int:
     # the full series, so a length gap beyond the radius is still infeasible
     align_ranges(case, metric)
     band = BandSpec.sakoe_chiba(args.radius) if args.radius is not None else BandSpec.unconstrained()
-    result = dtw(case.values, metric.values, band, normalize_x=args.normalize)
+    # the values scored are the values alignment.csv reports
+    x = minmax_normalize(case) if args.normalize else case
+    result = dtw(x.values, metric.values, band)
 
     manifest = _manifest(
         "dtw",
@@ -263,7 +284,6 @@ def _cmd_dtw(args) -> int:
         },
     )
 
-    x_values = minmax_normalize(case).values if args.normalize else case.values
     with open(out / "alignment.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {manifest.preamble()}\n")
         fh.write("case_index,metric_index,case_date,metric_date,normalized_case,metric_value\n")
@@ -272,21 +292,15 @@ def _cmd_dtw(args) -> int:
             metric_day = metric.start_date + timedelta(days=j - 1)
             fh.write(
                 f"{i},{j},{case_day.isoformat()},{metric_day.isoformat()},"
-                f"{format_value(x_values[i - 1])},{format_value(metric.values[j - 1])}\n"
+                f"{format_value(x.values[i - 1])},{format_value(metric.values[j - 1])}\n"
             )
     print(f"distance {format_value(result.distance)} over {len(result.path)} path steps")
     return 0
 
 
 def _load_sweep_domains(path: str | None) -> dict:
-    domains = {
-        "metric": list(METRICS),
-        "preprocess": list(PREPROCESSES),
-        "threshold": list(THRESHOLDS),
-        "window": list(WINDOWS),
-        "case_type": list(CASE_TYPES),
-        "radius": list(RADII),
-    }
+    """The lattice's levels per parameter, narrowed by a JSON config of level labels."""
+    domains = {name: list(levels) for name, levels in DOMAINS.items()}
     if path is None:
         return domains
     with open(path, "r", encoding="utf-8") as fh:
@@ -297,18 +311,11 @@ def _load_sweep_domains(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ParseError("sweep config must be a JSON object of parameter arrays")
     for key, values in raw.items():
-        if key not in SWEEP_DOMAIN_KEYS:
+        if key not in DOMAINS:
             raise ParseError(f"unknown sweep parameter {key!r}")
         if not isinstance(values, list) or not values:
             raise ParseError(f"sweep parameter {key!r} must be a non-empty array")
-        canon = {
-            "metric": {m.value: m for m in METRICS},
-            "preprocess": {p.value: p for p in PREPROCESSES},
-            "threshold": {t: t for t in THRESHOLDS},
-            "window": {w: w for w in WINDOWS},
-            "case_type": {c.value: c for c in CASE_TYPES},
-            "radius": {r: r for r in RADII},
-        }[key]
+        canon = {level_label(level): level for level in DOMAINS[key]}
         picked = []
         for v in values:
             if v not in canon:
@@ -361,23 +368,10 @@ def _cmd_sweep(args) -> int:
         print("error: --weekly is required when the sweep includes the rescale method", file=sys.stderr)
         return 2
 
-    segments = load_segments(args.segments)
-    by_keyword: dict[str, list] = {}
-    for seg in segments:
-        by_keyword.setdefault(seg.keyword, []).append(seg)
-    weekly = load_weekly(args.weekly) if Preprocess.RESCALE in domains["preprocess"] else {}
-
-    panels: dict[Preprocess, KeywordPanel] = {}
-    for preprocess in domains["preprocess"]:
-        series_by_keyword: dict[str, DateIndexedSeries] = {}
-        for keyword in sorted(by_keyword):
-            if preprocess is Preprocess.RESCALE:
-                if keyword not in weekly:
-                    raise CoverageError(f"keyword {keyword!r} missing from the weekly reference")
-                series_by_keyword[keyword] = rescale_daily(by_keyword[keyword], weekly[keyword])
-            else:
-                series_by_keyword[keyword] = msv_merge(by_keyword[keyword])
-        panels[preprocess] = KeywordPanel.from_mapping(series_by_keyword)
+    panels = {
+        method: KeywordPanel.from_mapping(series)
+        for method, series in _reconstruct(args.segments, args.weekly, domains["preprocess"]).items()
+    }
 
     any_panel = next(iter(panels.values()))
     start = parse_iso_date(args.start) if args.start else any_panel.start_date
@@ -386,24 +380,11 @@ def _cmd_sweep(args) -> int:
         print(f"error: --end {end} precedes --start {start}", file=sys.stderr)
         return 2
 
-    records = load_linelist(args.linelist, args.region, args.province)
-    confirmed = daily_confirmed(records, start, end)
-    removed = daily_removed(records, start, end)
-    active = active_cases(confirmed, removed)
-    case_series: Mapping[CaseKind, DateIndexedSeries] = {
-        CaseKind.CONFIRMED: confirmed.series,
-        CaseKind.ACTIVE: active.series,
-    }
+    _, case_series = _derive_cases(args.linelist, args.region, args.province, start, end)
 
-    configs = enumerate_configs(
-        domains["metric"],
-        domains["preprocess"],
-        domains["threshold"],
-        domains["window"],
-        domains["case_type"],
-        domains["radius"],
-    )
-    results = run_sweep(panels, case_series, configs, max_workers=_max_workers())
+    configs = enumerate_configs(*(domains[name] for name in PARAMETER_NAMES))
+    _check_threads_env()
+    results = run_sweep(panels, case_series, configs)
 
     input_paths = [args.segments, args.linelist] + ([args.weekly] if args.weekly else [])
     manifest = _manifest(
@@ -418,8 +399,7 @@ def _cmd_sweep(args) -> int:
             "end": end.isoformat(),
             "config": args.config,
             "domains": {
-                k: [v.value if hasattr(v, "value") else v for v in domains[k]]
-                for k in SWEEP_DOMAIN_KEYS
+                name: [level_label(level) for level in domains[name]] for name in PARAMETER_NAMES
             },
         },
         input_paths,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BandInfeasibleError, DegenerateRangeError, EmptySeriesError
+from .errors import BandInfeasibleError, EmptySeriesError
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class BandSpec:
     def sakoe_chiba(cls, radius: int) -> "BandSpec":
         return cls(radius)
 
-    @property
-    def is_constrained(self) -> bool:
-        return self.radius is not None
-
     def admits(self, i: int, j: int) -> bool:
         return self.radius is None or abs(i - j) <= self.radius
 
@@ -61,9 +57,6 @@ class BandSpec:
         if self.radius is None:
             return 0, m - 1
         return max(0, i - self.radius), min(m - 1, i + self.radius)
-
-    def describe(self) -> str:
-        return "unconstrained" if self.radius is None else f"sakoe_chiba({self.radius})"
 
 
 @dataclass(frozen=True)
@@ -95,14 +88,6 @@ def _as_values(x: Sequence[float], name: str) -> tuple[float, ...]:
     if not vals:
         raise EmptySeriesError(f"{name} is empty")
     return vals
-
-
-def _minmax(values: tuple[float, ...]) -> tuple[float, ...]:
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        raise DegenerateRangeError("cannot min-max normalize a constant sequence")
-    span = hi - lo
-    return tuple((v - lo) / span for v in values)
 
 
 def local_cost_matrix(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
@@ -183,22 +168,15 @@ def dtw(
     x: Sequence[float],
     y: Sequence[float],
     band: BandSpec | None = None,
-    normalize_x: bool = False,
 ) -> DtwResult:
-    """Optimal banded alignment of ``x`` onto ``y``.
+    """Optimal banded alignment of ``x`` onto ``y``, both costed as given.
 
-    When ``normalize_x`` is set, ``x`` is min-max normalized before
-    costing and ``y`` is used as-is (network metric values already live
-    in [0, 1]). Raises BandInfeasibleError when the length gap exceeds
-    the band radius and DegenerateRangeError when normalization is
-    requested for a constant ``x``.
+    Raises BandInfeasibleError when the length gap exceeds the band radius.
     """
     if band is None:
         band = BandSpec.unconstrained()
     xs = _as_values(x, "x")
     ys = _as_values(y, "y")
-    if normalize_x:
-        xs = _minmax(xs)
     band.check_feasible(len(xs), len(ys))
     cost = local_cost_matrix(xs, ys)
     acc = accumulated_cost_matrix(cost, band)

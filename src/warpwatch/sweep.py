@@ -10,7 +10,6 @@ of aborting the sweep, and are excluded from the statistics.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import timedelta
 from enum import Enum
@@ -41,7 +40,21 @@ WINDOWS = (15, 30)
 CASE_TYPES = (CaseKind.CONFIRMED, CaseKind.ACTIVE)
 RADII = (7, 15, 20, 30, 50)
 
-PARAMETER_NAMES = ("metric", "preprocess", "threshold", "window", "case_type", "radius")
+# parameter -> levels, in lattice order; every other view of the lattice derives from this
+DOMAINS: dict[str, tuple] = {
+    "metric": METRICS,
+    "preprocess": PREPROCESSES,
+    "threshold": THRESHOLDS,
+    "window": WINDOWS,
+    "case_type": CASE_TYPES,
+    "radius": RADII,
+}
+PARAMETER_NAMES = tuple(DOMAINS)
+
+
+def level_label(value: Enum | float | int) -> str | float | int:
+    """How a level is named in configs and manifests: an enum's value, else the number."""
+    return value.value if isinstance(value, Enum) else value
 
 
 @dataclass(frozen=True)
@@ -55,20 +68,12 @@ class SweepConfig:
     case_type: CaseKind
     radius: int
 
-    def sort_key(self) -> tuple[int, int, int, int, int, int]:
+    def sort_key(self) -> tuple[int, ...]:
         """Position within the declared domain ordering (the lattice order)."""
-        return (
-            METRICS.index(self.metric),
-            PREPROCESSES.index(self.preprocess),
-            THRESHOLDS.index(self.threshold),
-            WINDOWS.index(self.window),
-            CASE_TYPES.index(self.case_type),
-            RADII.index(self.radius),
-        )
+        return tuple(DOMAINS[name].index(getattr(self, name)) for name in PARAMETER_NAMES)
 
     def level(self, parameter: str) -> str:
-        value = getattr(self, parameter)
-        return value.value if isinstance(value, Enum) else str(value)
+        return str(level_label(getattr(self, parameter)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,6 @@ class SweepResult:
 
     config: SweepConfig
     dtw_score: float | None
-    path_length: int | None
     status: str = "ok"
 
     @property
@@ -117,15 +121,15 @@ def run_sweep(
     panels: Mapping[Preprocess, KeywordPanel],
     case_series: Mapping[CaseKind, DateIndexedSeries],
     configs: Sequence[SweepConfig] | None = None,
-    max_workers: int | None = None,
 ) -> list[SweepResult]:
     """Score every configuration: build the metric series, min-max
     normalize the case series, align date ranges, then run banded DTW
     with the case series as the warped axis.
 
     Correlation matrices are computed once per (preprocess, window) and
-    shared across thresholds and metrics; results come back in the order
-    of ``configs`` regardless of parallelism.
+    shared across thresholds and metrics. Configurations are scored one
+    after another, in the order of ``configs``: the DTW fill is pure
+    Python, so threads would only contend for the interpreter lock.
     """
     cfgs = list(configs) if configs is not None else enumerate_configs()
 
@@ -172,26 +176,18 @@ def run_sweep(
 
     def evaluate(cfg: SweepConfig) -> SweepResult:
         if cfg.case_type in case_errors:
-            return SweepResult(cfg, None, None, case_errors[cfg.case_type])
+            return SweepResult(cfg, None, case_errors[cfg.case_type])
         mkey = (cfg.preprocess, cfg.threshold, cfg.window, cfg.metric)
         if mkey in metric_errors:
-            return SweepResult(cfg, None, None, metric_errors[mkey])
+            return SweepResult(cfg, None, metric_errors[mkey])
         try:
             case, metric = align_ranges(norm_cases[cfg.case_type], metric_cache[mkey])
-            result = dtw(
-                case.values,
-                metric.values,
-                BandSpec.sakoe_chiba(cfg.radius),
-                normalize_x=False,
-            )
+            result = dtw(case.values, metric.values, BandSpec.sakoe_chiba(cfg.radius))
         except WarpwatchError as exc:
-            return SweepResult(cfg, None, None, f"{type(exc).__name__}: {exc}")
-        return SweepResult(cfg, result.distance, len(result.path), "ok")
+            return SweepResult(cfg, None, f"{type(exc).__name__}: {exc}")
+        return SweepResult(cfg, result.distance, "ok")
 
-    if max_workers == 1:
-        return [evaluate(cfg) for cfg in cfgs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(evaluate, cfgs))
+    return [evaluate(cfg) for cfg in cfgs]
 
 
 def optimal_configs(results: Sequence[SweepResult]) -> list[SweepResult]:
@@ -225,18 +221,10 @@ def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> Param
     """
     if parameter not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {parameter!r}")
-    domains = {
-        "metric": METRICS,
-        "preprocess": PREPROCESSES,
-        "threshold": THRESHOLDS,
-        "window": WINDOWS,
-        "case_type": CASE_TYPES,
-        "radius": RADII,
-    }
     scored = [r for r in results if r.ok]
     groups: dict[str, list[float]] = {}
-    for value in domains[parameter]:
-        label = value.value if isinstance(value, Enum) else str(value)
+    for value in DOMAINS[parameter]:
+        label = str(level_label(value))
         member = [r.dtw_score for r in scored if r.config.level(parameter) == label]
         if member:
             groups[label] = member

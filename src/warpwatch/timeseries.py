@@ -143,40 +143,47 @@ def parse_iso_date(text: str) -> date:
         raise ValueError(f"bad date {text!r}: expected YYYY-MM-DD") from exc
 
 
-def read_series_csv(path: str) -> DateIndexedSeries:
-    """Read a ``date,value`` CSV into a validated contiguous series.
+def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, stripped fields) for each data row.
 
-    Accepts LF or CRLF, UTF-8, and skips leading lines that begin with
-    ``#`` (the provenance comment the CLI emits).
+    Accepts LF or CRLF and UTF-8. Blank lines and lines that begin with
+    ``#`` (the provenance comment the CLI emits) are skipped; the first
+    other line must be ``header`` and every later row must have as many
+    fields. Violations raise ParseError with the line number.
     """
-    rows: list[tuple[date, float]] = []
+    expected = ",".join(header)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lineno = 0
         header_seen = False
-        for record in csv.reader(fh):
+        for row in csv.reader(fh):
             lineno += 1
-            if not record:
-                continue
-            if record[0].startswith("#"):
+            if not row or row[0].startswith("#"):
                 continue
             if not header_seen:
-                if tuple(c.strip() for c in record) != CSV_HEADER:
-                    raise ParseError(f"expected header 'date,value', got {','.join(record)!r}", lineno)
+                if tuple(c.strip() for c in row) != header:
+                    raise ParseError(f"expected header {expected!r}, got {','.join(row)!r}", lineno)
                 header_seen = True
                 continue
-            if len(record) != 2:
-                raise ParseError(f"expected 2 fields, got {len(record)}", lineno)
-            try:
-                d = parse_iso_date(record[0].strip())
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            try:
-                v = float(record[1])
-            except ValueError as exc:
-                raise ParseError(f"bad value {record[1]!r}", lineno) from exc
-            rows.append((d, v))
-    if not header_seen:
-        raise ParseError("empty file: missing 'date,value' header", lineno or 1)
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
+            yield lineno, [c.strip() for c in row]
+        if not header_seen:
+            raise ParseError(f"empty file: missing {expected!r} header", max(lineno, 1))
+
+
+def read_series_csv(path: str) -> DateIndexedSeries:
+    """Read a ``date,value`` CSV into a validated contiguous series."""
+    rows: list[tuple[date, float]] = []
+    for lineno, (raw_day, raw_value) in read_csv_rows(path, CSV_HEADER):
+        try:
+            d = parse_iso_date(raw_day)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        try:
+            v = float(raw_value)
+        except ValueError as exc:
+            raise ParseError(f"bad value {raw_value!r}", lineno) from exc
+        rows.append((d, v))
     if not rows:
         raise EmptySeriesError(f"{path} holds a header but no rows")
     return validate_contiguous(rows)

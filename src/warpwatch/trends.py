@@ -15,13 +15,12 @@ Both are deterministic and keep the covered range contiguous.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Sequence
 
 from .errors import CoverageError, NoOverlapError, ParseError, RangeError
-from .timeseries import DateIndexedSeries, parse_iso_date
+from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows
 
 SEGMENT_DAYS = 30
 
@@ -85,30 +84,6 @@ class WeeklySeries:
         return idx
 
 
-def _read_csv_rows(path: str, expected_header: tuple[str, ...]):
-    """Yield (lineno, row) pairs after validating the header; skips ``#`` lines."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lineno = 0
-        header_seen = False
-        for row in csv.reader(fh):
-            lineno += 1
-            if not row or row[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(c.strip() for c in row) != expected_header:
-                    raise ParseError(
-                        f"expected header {','.join(expected_header)!r}, got {','.join(row)!r}",
-                        lineno,
-                    )
-                header_seen = True
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"expected {len(expected_header)} fields, got {len(row)}", lineno)
-            yield lineno, [c.strip() for c in row]
-        if not header_seen:
-            raise ParseError("empty file: missing header", max(lineno, 1))
-
-
 def load_segments(path: str) -> list[DailySegment]:
     """Parse a segment CSV (``keyword,segment_start,date,value``) into segments.
 
@@ -119,7 +94,7 @@ def load_segments(path: str) -> list[DailySegment]:
     """
     groups: dict[tuple[str, date], dict[date, float]] = {}
     first_line: dict[tuple[str, date], int] = {}
-    for lineno, (keyword, raw_start, raw_day, raw_value) in _read_csv_rows(path, SEGMENT_HEADER):
+    for lineno, (keyword, raw_start, raw_day, raw_value) in read_csv_rows(path, SEGMENT_HEADER):
         try:
             seg_start = parse_iso_date(raw_start)
             day = parse_iso_date(raw_day)
@@ -161,7 +136,7 @@ def load_segments(path: str) -> list[DailySegment]:
 def load_weekly(path: str) -> dict[str, WeeklySeries]:
     """Parse a weekly CSV (``keyword,week_start,value``) grouped by keyword."""
     rows: dict[str, list[tuple[date, float]]] = {}
-    for lineno, (keyword, raw_start, raw_value) in _read_csv_rows(path, WEEKLY_HEADER):
+    for lineno, (keyword, raw_start, raw_value) in read_csv_rows(path, WEEKLY_HEADER):
         try:
             week_start = parse_iso_date(raw_start)
         except ValueError as exc:

@@ -7,7 +7,8 @@ from datetime import date, timedelta
 import pytest
 
 from warpwatch.cli import main
-from warpwatch.timeseries import DateIndexedSeries, read_series_csv, write_series_csv
+from warpwatch.errors import DegenerateRangeError
+from warpwatch.timeseries import DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
 
 MAR16 = date(2020, 3, 16)
 
@@ -19,6 +20,11 @@ def run(*argv):
 def read_rows(path):
     with open(path, encoding="utf-8") as fh:
         return [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+
+
+def read_manifest(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.readline().removeprefix("# manifest: "))
 
 
 class TestSynth:
@@ -93,6 +99,41 @@ class TestDtw:
             "--radius", 2, "--outdir", tmp_path / "out",
         )
         assert code == 3
+
+    def test_normalized_alignment_resums_to_distance(self, tmp_path):
+        # integer triangles: min-max maps the case onto multiples of 1/8 and the
+        # metric is a multiple of 3/32, so every printed value is exact
+        def triangle(t, peak):
+            return max(0, 8 - abs(t - peak))
+
+        case = DateIndexedSeries(MAR16, tuple(3.0 + 2.0 * triangle(t, 15) for t in range(40)))
+        metric = DateIndexedSeries(MAR16, tuple(0.09375 * triangle(t, 19) for t in range(40)))
+        write_series_csv(case, str(tmp_path / "case.csv"))
+        write_series_csv(metric, str(tmp_path / "metric.csv"))
+        out = tmp_path / "out"
+        assert run(
+            "dtw", "--case", tmp_path / "case.csv", "--metric", tmp_path / "metric.csv",
+            "--radius", 10, "--normalize", "--outdir", out,
+        ) == 0
+        distance = json.loads((out / "dtw.json").read_text())["distance"]
+        rows = read_rows(out / "alignment.csv")[1:]
+        assert distance > 0.0
+        assert sum(abs(float(r[4]) - float(r[5])) for r in rows) == pytest.approx(distance, abs=1e-9)
+        assert {float(r[4]) for r in rows} == set(minmax_normalize(case).values)
+
+    def test_normalize_constant_case_exits_2(self, tmp_path, capsys):
+        case = DateIndexedSeries(MAR16, (5.0,) * 10)
+        metric = DateIndexedSeries(MAR16, tuple(t / 10.0 for t in range(10)))
+        write_series_csv(case, str(tmp_path / "case.csv"))
+        write_series_csv(metric, str(tmp_path / "metric.csv"))
+        with pytest.raises(DegenerateRangeError) as expected:
+            minmax_normalize(case)
+        code = run(
+            "dtw", "--case", tmp_path / "case.csv", "--metric", tmp_path / "metric.csv",
+            "--normalize", "--outdir", tmp_path / "out",
+        )
+        assert code == 2
+        assert str(expected.value) in capsys.readouterr().err
 
     def test_disjoint_ranges_exit_2(self, tmp_path):
         a = DateIndexedSeries(MAR16, (1.0, 2.0, 3.0))
@@ -239,7 +280,43 @@ class TestCases:
         assert code == 2
 
 
+# every lattice level under the label a --config file and the manifest use
+LEVEL_LABELS = {
+    "metric": ["density", "clustering"],
+    "preprocess": ["rescale", "msv"],
+    "threshold": [0.4, 0.5, 0.6, 0.8],
+    "window": [15, 30],
+    "case_type": ["confirmed", "active"],
+    "radius": [7, 15, 20, 30, 50],
+}
+
+
 class TestSweep:
+    def sweep(self, tmp_path, inputs, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return run(
+            "sweep", "--segments", inputs.segments, "--weekly", inputs.weekly,
+            "--linelist", inputs.linelist, "--region", "NCR", "--province", "NCR",
+            "--config", path, "--outdir", tmp_path / "sweep",
+        )
+
+    @pytest.mark.parametrize("pick", range(5))
+    def test_every_level_label_is_accepted_and_echoed(self, tmp_path, sweep_inputs, pick):
+        # five one-configuration sweeps that between them name every level
+        config = {name: [labels[pick % len(labels)]] for name, labels in LEVEL_LABELS.items()}
+        assert self.sweep(tmp_path, sweep_inputs, config) == 0
+        manifest = read_manifest(tmp_path / "sweep" / "sweep.csv")
+        assert manifest["parameters"]["domains"] == config
+        rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert rows[1:] == [[str(labels[0]) for labels in config.values()] + [rows[1][6], "ok"]]
+
+    @pytest.mark.parametrize("name, label", [("metric", "Density"), ("window", "15"), ("radius", 8)])
+    def test_label_outside_the_table_exits_2(self, tmp_path, sweep_inputs, capsys, name, label):
+        assert self.sweep(tmp_path, sweep_inputs, {name: [label]}) == 2
+        assert f"does not admit {label!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_restricted_sweep_artifacts(self, tmp_path, sweep_inputs):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7, 50]}))

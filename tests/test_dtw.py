@@ -11,7 +11,7 @@ from warpwatch.dtw import (
     dtw,
     local_cost_matrix,
 )
-from warpwatch.errors import BandInfeasibleError, DegenerateRangeError, EmptySeriesError
+from warpwatch.errors import BandInfeasibleError, EmptySeriesError
 from warpwatch.testkit import brute_force_dtw
 
 UNBOUNDED = BandSpec.unconstrained()
@@ -94,15 +94,6 @@ class TestDtw:
             dtw((), (1,))
         with pytest.raises(EmptySeriesError):
             dtw((1,), ())
-
-    def test_normalize_x_flag(self):
-        plain = dtw((0.0, 0.5, 1.0), (0.0, 0.5, 1.0), UNBOUNDED, normalize_x=False)
-        scaled = dtw((10.0, 15.0, 20.0), (0.0, 0.5, 1.0), UNBOUNDED, normalize_x=True)
-        assert scaled.distance == plain.distance == 0.0
-
-    def test_normalize_degenerate(self):
-        with pytest.raises(DegenerateRangeError):
-            dtw((5.0, 5.0), (0.0, 1.0), UNBOUNDED, normalize_x=True)
 
     def test_y_never_normalized(self):
         # y enters costing as-is; distance reflects its raw scale

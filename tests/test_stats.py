@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +149,44 @@ class TestKruskalWallis:
         h, p = kruskal_wallis([a, b])
         assert h >= 0.0
         assert 0.0 <= p <= 1.0
+
+
+class TestScipyCrossCheck:
+    """Agreement with scipy.stats on random groups, beyond C09's fixed cases."""
+
+    @staticmethod
+    def random_groups(rng, tied):
+        # tied groups draw from five integer levels; untied ones from a continuum
+        draw = (lambda: float(rng.randint(0, 4))) if tied else (lambda: rng.uniform(-50.0, 50.0))
+        return [[draw() for _ in range(rng.randint(1, 12))] for _ in range(rng.randint(2, 6))]
+
+    def test_kruskal_wallis_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(2504)
+        checked = 0
+        for trial in range(400):
+            groups = self.random_groups(rng, tied=trial % 2 == 0)
+            pooled = [v for g in groups for v in g]
+            if len(pooled) < 3 or len(set(pooled)) == 1:
+                continue  # structural error, or the all-identical case below
+            h, p = kruskal_wallis(groups)
+            expected = stats.kruskal(*groups)
+            assert h == pytest.approx(expected.statistic, rel=1e-12, abs=1e-12)
+            assert p == pytest.approx(expected.pvalue, rel=1e-12, abs=1e-13)
+            checked += 1
+        assert checked >= 350
+
+    def test_all_identical_pool_is_defined_where_scipy_is_not(self):
+        stats = pytest.importorskip("scipy.stats")
+        groups = [[3.0, 3.0], [3.0], [3.0, 3.0, 3.0]]
+        assert kruskal_wallis(groups) == (0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = stats.kruskal(*groups)
+        assert math.isnan(expected.statistic) and math.isnan(expected.pvalue)
+
+    def test_chi_square_sf_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in range(1, 11):
+            for x in range(0, 201):
+                expected = stats.chi2.sf(x, dof)
+                assert chi_square_sf(float(x), dof) == pytest.approx(expected, rel=1e-12, abs=1e-14)
