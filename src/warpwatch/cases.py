@@ -17,6 +17,8 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import MissingColumnError, ParseError, RangeMismatchError
 from .timeseries import DateIndexedSeries, parse_iso_date
 
@@ -50,9 +52,10 @@ class CaseSeries:
     series: DateIndexedSeries
 
     def __post_init__(self) -> None:
-        for v in self.series.values:
-            if v < 0 or v != int(v):
-                raise ValueError(f"case counts must be nonnegative integers, got {v}")
+        values = self.series.values
+        bad = (values < 0) | (values != np.trunc(values))
+        if bad.any():
+            raise ValueError(f"case counts must be nonnegative integers, got {float(values[bad][0])}")
 
 
 def load_linelist(path: str, region: str, province: str) -> list[LineListRecord]:
@@ -112,7 +115,7 @@ def _zero_filled_counts(
         offset = (d - start).days
         if 0 <= offset < length:
             counts[offset] += 1
-    return CaseSeries(kind, DateIndexedSeries(start, tuple(float(c) for c in counts)))
+    return CaseSeries(kind, DateIndexedSeries(start, counts))
 
 
 def daily_confirmed(records: Sequence[LineListRecord], start: date, end: date) -> CaseSeries:
@@ -139,14 +142,14 @@ def active_cases(confirmed: CaseSeries, removed: CaseSeries) -> CaseSeries:
             f"confirmed covers [{cs.start_date}, {cs.end_date}]"
             f" but removed covers [{rs.start_date}, {rs.end_date}]"
         )
-    active: list[float] = []
+    active: list[int] = []
     prev = 0
-    for offset, (c, r) in enumerate(zip(cs.values, rs.values)):
+    for offset, (c, r) in enumerate(zip(cs.values.tolist(), rs.values.tolist())):
         raw = prev + int(c) - int(r)
         if raw < 0:
             day = cs.start_date + timedelta(days=offset)
             logger.warning("active-case clamp on %s: raw value %d set to 0", day.isoformat(), raw)
             raw = 0
-        active.append(float(raw))
+        active.append(raw)
         prev = raw
-    return CaseSeries(CaseKind.ACTIVE, DateIndexedSeries(cs.start_date, tuple(active)))
+    return CaseSeries(CaseKind.ACTIVE, DateIndexedSeries(cs.start_date, active))

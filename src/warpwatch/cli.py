@@ -85,9 +85,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, parameters: dict, input_paths: Sequence[str]) -> RunManifest:
+def _manifest(args, input_paths: Sequence[str], **resolved) -> RunManifest:
+    """Every parsed flag but ``--outdir``, in parser order, with ``resolved``
+    values replacing or following them, and a hash of each input file."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "outdir")}
+    parameters.update(resolved)
     inputs = {p: _sha256(p) for p in sorted(input_paths)}
-    return RunManifest(command, parameters, inputs, __version__)
+    return RunManifest(args.subcommand, parameters, inputs, __version__)
 
 
 def _round_floats(obj):
@@ -182,11 +186,7 @@ def _cmd_preprocess(args) -> int:
     method = Preprocess(args.method)
     series = _reconstruct(args.segments, args.weekly, [method])[method]
     input_paths = [args.segments] + ([args.weekly] if method is Preprocess.RESCALE else [])
-    manifest = _manifest(
-        "preprocess",
-        {"method": args.method, "segments": args.segments, "weekly": args.weekly},
-        input_paths,
-    )
+    manifest = _manifest(args, input_paths)
 
     used_slugs: dict[str, str] = {}
     for keyword in series:
@@ -208,16 +208,7 @@ def _cmd_metrics(args) -> int:
         print(f"error: --threshold must lie in (0, 1], got {args.threshold}", file=sys.stderr)
         return 2
     panel = _load_panel(args.panel_dir)
-    manifest = _manifest(
-        "metrics",
-        {
-            "panel_dir": args.panel_dir,
-            "metric": args.metric,
-            "threshold": args.threshold,
-            "window": args.window,
-        },
-        [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))],
-    )
+    manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
     result = metric_series(panel, MetricKind(args.metric), args.threshold, args.window)
     out = _outdir(args)
     write_series_csv(result.series, str(out / "metric.csv"), manifest.preamble())
@@ -232,17 +223,7 @@ def _cmd_cases(args) -> int:
         print(f"error: --end {args.end} precedes --start {args.start}", file=sys.stderr)
         return 2
     n_records, cases = _derive_cases(args.linelist, args.region, args.province, start, end)
-    manifest = _manifest(
-        "cases",
-        {
-            "linelist": args.linelist,
-            "region": args.region,
-            "province": args.province,
-            "start": args.start,
-            "end": args.end,
-        },
-        [args.linelist],
-    )
+    manifest = _manifest(args, [args.linelist])
     out = _outdir(args)
     write_series_csv(cases[CaseKind.CONFIRMED], str(out / "confirmed.csv"), manifest.preamble())
     write_series_csv(cases[CaseKind.ACTIVE], str(out / "active.csv"), manifest.preamble())
@@ -261,16 +242,7 @@ def _cmd_dtw(args) -> int:
     x = minmax_normalize(case) if args.normalize else case
     result = dtw(x.values, metric.values, band)
 
-    manifest = _manifest(
-        "dtw",
-        {
-            "case": args.case,
-            "metric": args.metric,
-            "radius": args.radius,
-            "normalize": bool(args.normalize),
-        },
-        [args.case, args.metric],
-    )
+    manifest = _manifest(args, [args.case, args.metric])
     out = _outdir(args)
     _write_json(
         out / "dtw.json",
@@ -318,7 +290,7 @@ def _load_sweep_domains(path: str | None) -> dict:
         canon = {level_label(level): level for level in DOMAINS[key]}
         picked = []
         for v in values:
-            if v not in canon:
+            if not isinstance(v, (str, int, float)) or v not in canon:
                 raise ParseError(f"sweep parameter {key!r} does not admit {v!r}")
             picked.append(canon[v])
         domains[key] = picked
@@ -375,7 +347,7 @@ def _cmd_sweep(args) -> int:
 
     any_panel = next(iter(panels.values()))
     start = parse_iso_date(args.start) if args.start else any_panel.start_date
-    end = parse_iso_date(args.end) if args.end else any_panel.series[0].end_date
+    end = parse_iso_date(args.end) if args.end else any_panel.end_date
     if end < start:
         print(f"error: --end {end} precedes --start {start}", file=sys.stderr)
         return 2
@@ -388,21 +360,11 @@ def _cmd_sweep(args) -> int:
 
     input_paths = [args.segments, args.linelist] + ([args.weekly] if args.weekly else [])
     manifest = _manifest(
-        "sweep",
-        {
-            "segments": args.segments,
-            "weekly": args.weekly,
-            "linelist": args.linelist,
-            "region": args.region,
-            "province": args.province,
-            "start": start.isoformat(),
-            "end": end.isoformat(),
-            "config": args.config,
-            "domains": {
-                name: [level_label(level) for level in domains[name]] for name in PARAMETER_NAMES
-            },
-        },
+        args,
         input_paths,
+        start=start.isoformat(),
+        end=end.isoformat(),
+        domains={name: [level_label(level) for level in domains[name]] for name in PARAMETER_NAMES},
     )
 
     out = _outdir(args)
@@ -451,17 +413,7 @@ def _cmd_synth(args) -> int:
         start_date=parse_iso_date(args.start),
     )
     case, metric = synth_pair(scenario)
-    manifest = _manifest(
-        "synth",
-        {
-            "length": args.length,
-            "lag": args.lag,
-            "noise": args.noise,
-            "seed": args.seed,
-            "start": args.start,
-        },
-        [],
-    )
+    manifest = _manifest(args, [])
     out = _outdir(args)
     write_series_csv(case, str(out / "case.csv"), manifest.preamble())
     write_series_csv(metric, str(out / "metric.csv"), manifest.preamble())

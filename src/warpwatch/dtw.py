@@ -83,17 +83,13 @@ class DtwResult:
     band: BandSpec
 
 
-def _as_values(x: Sequence[float], name: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in x)
-    if not vals:
-        raise EmptySeriesError(f"{name} is empty")
-    return vals
-
-
 def local_cost_matrix(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     """N x M matrix of absolute differences: entry (i, j) = |x_i - y_j|."""
-    xs = np.asarray(_as_values(x, "x"), dtype=float)
-    ys = np.asarray(_as_values(y, "y"), dtype=float)
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    for name, values in (("x", xs), ("y", ys)):
+        if values.size == 0:
+            raise EmptySeriesError(f"{name} is empty")
     return np.abs(xs[:, None] - ys[None, :])
 
 
@@ -175,10 +171,8 @@ def dtw(
     """
     if band is None:
         band = BandSpec.unconstrained()
-    xs = _as_values(x, "x")
-    ys = _as_values(y, "y")
-    band.check_feasible(len(xs), len(ys))
-    cost = local_cost_matrix(xs, ys)
+    cost = local_cost_matrix(x, y)
+    band.check_feasible(*cost.shape)
     acc = accumulated_cost_matrix(cost, band)
     path = backtrack(acc, band)
     return DtwResult(distance=float(acc[-1, -1]), path=path, band=band)

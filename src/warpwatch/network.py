@@ -17,12 +17,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    CoverageError,
     InsufficientHistoryError,
     LengthMismatchError,
     TooFewNodesError,
     WindowTooShortError,
 )
-from .timeseries import DateIndexedSeries
+from .timeseries import DateIndexedSeries, read_only_array
 
 
 class MetricKind(str, Enum):
@@ -30,36 +31,49 @@ class MetricKind(str, Enum):
     CLUSTERING = "clustering"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeywordPanel:
-    """Aligned daily series, one per keyword; all share start date and length."""
+    """Aligned daily interest: row ``k`` of the read-only ``(keywords, days)``
+    float64 ``values`` array is keyword ``k``'s series from ``start_date`` on."""
 
     keywords: tuple[str, ...]
-    series: tuple[DateIndexedSeries, ...]
+    start_date: date
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.keywords) != len(self.series):
-            raise ValueError("one series per keyword required")
-        if not self.keywords:
-            raise ValueError("panel must hold at least one keyword")
         if len(set(self.keywords)) != len(self.keywords):
             raise ValueError("keywords must be unique")
-        first = self.series[0]
-        for s in self.series[1:]:
-            if s.start_date != first.start_date or len(s) != len(first):
-                raise ValueError("all panel series must share start date and length")
+        values = read_only_array(self.values, 2)
+        if values.shape[0] != len(self.keywords):
+            raise ValueError("one row of values per keyword required")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_mapping(cls, by_keyword: Mapping[str, DateIndexedSeries]) -> "KeywordPanel":
-        keys = tuple(sorted(by_keyword))
-        return cls(keys, tuple(by_keyword[k] for k in keys))
+        """Stack one series per keyword, in keyword order.
 
-    @property
-    def start_date(self) -> date:
-        return self.series[0].start_date
+        Raises CoverageError naming the first keyword whose date range
+        differs from the first keyword's.
+        """
+        keys = tuple(sorted(by_keyword))
+        if not keys:
+            raise ValueError("panel must hold at least one keyword")
+        first = by_keyword[keys[0]]
+        for key in keys[1:]:
+            s = by_keyword[key]
+            if s.start_date != first.start_date or len(s) != len(first):
+                raise CoverageError(
+                    f"keyword {key!r} covers [{s.start_date}, {s.end_date}]"
+                    f" but {keys[0]!r} covers [{first.start_date}, {first.end_date}]"
+                )
+        return cls(keys, first.start_date, np.stack([by_keyword[k].values for k in keys]))
 
     def __len__(self) -> int:
-        return len(self.series[0])
+        return self.values.shape[1]
+
+    @property
+    def end_date(self) -> date:
+        return self.start_date + timedelta(days=len(self) - 1)
 
     @property
     def n_keywords(self) -> int:
@@ -96,9 +110,10 @@ class NetworkMetricSeries:
     series: DateIndexedSeries
 
     def __post_init__(self) -> None:
-        for v in self.series.values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"metric value {v} outside [0, 1]")
+        values = self.series.values
+        outside = (values < 0.0) | (values > 1.0)
+        if outside.any():
+            raise ValueError(f"metric value {float(values[outside][0])} outside [0, 1]")
 
 
 def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -147,7 +162,7 @@ def correlation_matrix_at(panel: KeywordPanel, t: date, window: int) -> np.ndarr
             f"day {t.isoformat()} needs {window} days of history inside the panel"
         )
     lo = end - window + 1
-    windows = [np.asarray(s.values[lo : end + 1], dtype=float) for s in panel.series]
+    windows = panel.values[:, lo : end + 1]
     n = panel.n_keywords
     matrix = np.eye(n)
     for i in range(n):
@@ -216,7 +231,7 @@ def metric_series_from_matrices(
 ) -> NetworkMetricSeries:
     """Threshold each matrix and evaluate one metric per day."""
     metric = network_density if metric_kind is MetricKind.DENSITY else clustering_coefficient
-    values = tuple(metric(threshold_graph(m, theta)) for m in matrices)
+    values = [metric(threshold_graph(m, theta)) for m in matrices]
     return NetworkMetricSeries(metric_kind, DateIndexedSeries(first_date, values))
 
 

@@ -155,6 +155,6 @@ def synth_pair(sc: SyntheticScenario) -> tuple[DateIndexedSeries, DateIndexedSer
     def round9(v: float) -> float:
         return float(format(v, ".9g"))
 
-    case = DateIndexedSeries(sc.start_date, tuple(round9(v) for v in case_values))
-    metric = DateIndexedSeries(sc.start_date, tuple(round9(v) for v in noisy))
+    case = DateIndexedSeries(sc.start_date, [round9(v) for v in case_values])
+    metric = DateIndexedSeries(sc.start_date, [round9(v) for v in noisy])
     return case, metric

@@ -9,10 +9,11 @@ time zones) and render as ISO-8601 at the I/O boundary.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DegenerateRangeError,
@@ -27,24 +28,45 @@ from .errors import (
 CSV_HEADER = ("date", "value")
 
 
-@dataclass(frozen=True)
+def read_only_array(values, ndim: int) -> np.ndarray:
+    """Copy ``values`` into a read-only float64 array of ``ndim`` dimensions.
+
+    Raises EmptySeriesError on empty input and NonFiniteValueError naming
+    the first NaN or infinity.
+    """
+    array = np.array(values, dtype=float)
+    if array.ndim != ndim:
+        raise ValueError(f"expected {ndim}-dimensional values, got shape {array.shape}")
+    if array.size == 0:
+        raise EmptySeriesError("a series must hold at least one value")
+    bad = ~np.isfinite(array)
+    if bad.any():
+        raise NonFiniteValueError(
+            f"non-finite value {float(array[bad][0])!r} rejected at construction"
+        )
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class DateIndexedSeries:
     """Daily real-valued series; day ``i`` is exactly ``start_date + i`` days.
 
-    Immutable after construction: values are stored as a tuple and every
-    element is checked to be finite.
+    Immutable after construction: values are copied once into a read-only
+    1-D float64 array whose elements are all finite. Two series are equal
+    when they share a start date and their values are equal.
     """
 
     start_date: date
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise EmptySeriesError("a series must hold at least one value")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise NonFiniteValueError(f"non-finite value {v!r} rejected at construction")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", read_only_array(self.values, 1))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DateIndexedSeries):
+            return NotImplemented
+        return self.start_date == other.start_date and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -58,13 +80,13 @@ class DateIndexedSeries:
             yield self.start_date + timedelta(days=i)
 
     def items(self) -> Iterator[tuple[date, float]]:
-        return zip(self.dates(), self.values)
+        return zip(self.dates(), self.values.tolist())
 
     def value_on(self, day: date) -> float:
         idx = (day - self.start_date).days
         if idx < 0 or idx >= len(self.values):
             raise KeyError(f"{day.isoformat()} outside [{self.start_date}, {self.end_date}]")
-        return self.values[idx]
+        return float(self.values[idx])
 
     def covers(self, day: date) -> bool:
         return self.start_date <= day <= self.end_date
@@ -95,7 +117,7 @@ def validate_contiguous(raw_rows: Iterable[tuple[date, float]]) -> DateIndexedSe
         prev = d
     if missing:
         raise GapError(missing)
-    return DateIndexedSeries(rows[0][0], tuple(v for _, v in rows))
+    return DateIndexedSeries(rows[0][0], [v for _, v in rows])
 
 
 def minmax_normalize(s: DateIndexedSeries) -> DateIndexedSeries:
@@ -103,12 +125,12 @@ def minmax_normalize(s: DateIndexedSeries) -> DateIndexedSeries:
 
     Raises DegenerateRangeError when all values are equal.
     """
-    lo = min(s.values)
-    hi = max(s.values)
+    lo = s.values.min()
+    hi = s.values.max()
     if hi == lo:
         raise DegenerateRangeError(f"constant series (all values {lo}) cannot be normalized")
     span = hi - lo
-    return DateIndexedSeries(s.start_date, tuple((v - lo) / span for v in s.values))
+    return DateIndexedSeries(s.start_date, (s.values - lo) / span)
 
 
 def align_ranges(

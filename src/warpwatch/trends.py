@@ -198,8 +198,7 @@ def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> Dat
     if missing:
         shown = ", ".join(d.isoformat() for d in missing[:5])
         raise CoverageError(f"days covered by no segment: {shown}")
-    values = tuple(s / c for s, c in zip(sums, counts))
-    return DateIndexedSeries(d0, values)
+    return DateIndexedSeries(d0, [s / c for s, c in zip(sums, counts)])
 
 
 def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
@@ -240,4 +239,4 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
     peak = max(merged)
     if peak > 0.0:
         merged = [(v / peak) * 100.0 for v in merged]
-    return DateIndexedSeries(d0, tuple(merged))
+    return DateIndexedSeries(d0, merged)

@@ -102,12 +102,12 @@ class TestDailyCounts:
     def test_counts_by_confirmation_date(self):
         records = [record(1), record(1), record(1), record(3)]
         out = daily_confirmed(records, MAR16, day(4))
-        assert out.series.values == (0.0, 3.0, 0.0, 1.0, 0.0)
+        assert tuple(out.series.values) == (0.0, 3.0, 0.0, 1.0, 0.0)
         assert out.kind is CaseKind.CONFIRMED
 
     def test_no_records_gives_zero_series(self):
         out = daily_confirmed([], MAR16, day(2))
-        assert out.series.values == (0.0, 0.0, 0.0)
+        assert tuple(out.series.values) == (0.0, 0.0, 0.0)
 
     def test_out_of_range_record_excluded(self):
         out = daily_confirmed([record(30)], MAR16, day(2))
@@ -116,7 +116,7 @@ class TestDailyCounts:
     def test_removed_counts(self):
         records = [record(0, 4), record(1, 4), record(2)]
         out = daily_removed(records, MAR16, day(5))
-        assert out.series.values == (0.0, 0.0, 0.0, 0.0, 2.0, 0.0)
+        assert tuple(out.series.values) == (0.0, 0.0, 0.0, 0.0, 2.0, 0.0)
 
     def test_removal_free_record_contributes_nothing(self):
         out = daily_removed([record(0)], MAR16, day(2))
@@ -126,7 +126,7 @@ class TestDailyCounts:
         records = [record(0, 2), record(2, 3), record(1)]
         forward = daily_confirmed(records, MAR16, day(3)).series.values
         backward = daily_confirmed(list(reversed(records)), MAR16, day(3)).series.values
-        assert forward == backward
+        assert forward.tolist() == backward.tolist()
 
 
 class TestActiveCases:
@@ -134,18 +134,18 @@ class TestActiveCases:
         confirmed = case_series(CaseKind.CONFIRMED, [1, 2, 0])
         removed = case_series(CaseKind.REMOVED, [0, 1, 1])
         out = active_cases(confirmed, removed)
-        assert out.series.values == (1.0, 2.0, 1.0)
+        assert tuple(out.series.values) == (1.0, 2.0, 1.0)
 
     def test_same_day_removal(self):
         out = active_cases(case_series(CaseKind.CONFIRMED, [5]), case_series(CaseKind.REMOVED, [5]))
-        assert out.series.values == (0.0,)
+        assert tuple(out.series.values) == (0.0,)
 
     def test_negative_drift_clamped_and_logged(self, caplog):
         confirmed = case_series(CaseKind.CONFIRMED, [0, 0])
         removed = case_series(CaseKind.REMOVED, [1, 0])
         with caplog.at_level(logging.WARNING, logger="warpwatch.cases"):
             out = active_cases(confirmed, removed)
-        assert out.series.values == (0.0, 0.0)
+        assert tuple(out.series.values) == (0.0, 0.0)
         assert any("2020-03-16" in message for message in caplog.messages)
 
     def test_range_mismatch(self):

@@ -1,12 +1,16 @@
+import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
-from warpwatch.cli import main
+import warpwatch
+from warpwatch.cli import _build_parser, main
 from warpwatch.errors import DegenerateRangeError
 from warpwatch.timeseries import DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
 
@@ -243,6 +247,19 @@ class TestMetrics:
         assert code == 0
         assert set(read_series_csv(str(out / "metric.csv")).values) == {1.0}
 
+    def test_ragged_coverage_exits_2_naming_the_keyword(self, tmp_path, capsys):
+        panel = tmp_path / "panel"
+        panel.mkdir()
+        values = [float(v % 17) for v in range(40)]
+        for name, length in (("cough", 40), ("fever", 40), ("masks", 39)):
+            write_series_csv(DateIndexedSeries(MAR16, values[:length]), str(panel / f"{name}.csv"))
+        code = run(
+            "metrics", "--panel-dir", panel, "--metric", "density",
+            "--threshold", 0.5, "--window", 15, "--outdir", tmp_path / "metrics",
+        )
+        assert code == 2
+        assert "'masks' covers [2020-03-16, 2020-04-23]" in capsys.readouterr().err
+
 
 class TestCases:
     def test_confirmed_and_active_share_range(self, tmp_path, sweep_inputs):
@@ -311,7 +328,10 @@ class TestSweep:
         rows = read_rows(tmp_path / "sweep" / "sweep.csv")
         assert rows[1:] == [[str(labels[0]) for labels in config.values()] + [rows[1][6], "ok"]]
 
-    @pytest.mark.parametrize("name, label", [("metric", "Density"), ("window", "15"), ("radius", 8)])
+    @pytest.mark.parametrize(
+        "name, label",
+        [("metric", "Density"), ("window", "15"), ("radius", 8), ("radius", [7]), ("metric", {"density": 1})],
+    )
     def test_label_outside_the_table_exits_2(self, tmp_path, sweep_inputs, capsys, name, label):
         assert self.sweep(tmp_path, sweep_inputs, {name: [label]}) == 2
         assert f"does not admit {label!r}" in capsys.readouterr().err
@@ -421,13 +441,57 @@ class TestPipelineComposition:
         assert len(rows) - 1 == payload["path_length"]
 
 
+class TestManifest:
+    def test_parameters_are_the_flags_but_outdir(self, tmp_path, sweep_inputs):
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7]}))
+        inputs = sweep_inputs
+        runs = [
+            ("synth", [], "case.csv"),
+            ("preprocess", ["--segments", inputs.segments, "--weekly", inputs.weekly,
+                            "--method", "rescale"], "cough.csv"),
+            ("metrics", ["--panel-dir", tmp_path / "preprocess", "--metric", "density",
+                         "--threshold", 0.5, "--window", 15], "metric.csv"),
+            ("cases", ["--linelist", inputs.linelist, "--region", "NCR", "--province", "NCR",
+                       "--start", inputs.start.isoformat(), "--end", inputs.end.isoformat()],
+             "confirmed.csv"),
+            ("dtw", ["--case", tmp_path / "synth" / "case.csv",
+                     "--metric", tmp_path / "synth" / "metric.csv"], "dtw.json"),
+            ("sweep", ["--segments", inputs.segments, "--weekly", inputs.weekly,
+                       "--linelist", inputs.linelist, "--region", "NCR", "--province", "NCR",
+                       "--config", config], "sweep.csv"),
+        ]
+        assert {name for name, _, _ in runs} == set(subparsers.choices)
+        for name, argv, artifact in runs:
+            assert run(name, *argv, "--outdir", tmp_path / name) == 0
+            path = tmp_path / name / artifact
+            if artifact.endswith(".json"):
+                manifest = json.loads(path.read_text())["manifest"]
+            else:
+                manifest = read_manifest(path)
+            flags = {
+                a.dest
+                for a in subparsers.choices[name]._actions
+                if a.option_strings and a.dest not in ("help", "outdir")
+            }
+            assert manifest["command"] == name
+            assert set(manifest["parameters"]) == flags | ({"domains"} if name == "sweep" else set())
+
+
 class TestEntryPoint:
     def test_module_invocation_and_exit_codes(self, tmp_path):
+        # the child imports the same warpwatch as this process, installed or not
+        src = str(Path(warpwatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "warpwatch.cli", "synth", "--length", "20",
              "--outdir", str(tmp_path / "o")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         bad = subprocess.run(
@@ -436,6 +500,7 @@ class TestEntryPoint:
              "--outdir", str(tmp_path / "o2")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert bad.returncode == 2
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpwatch.errors import (
+    CoverageError,
     InsufficientHistoryError,
     LengthMismatchError,
     TooFewNodesError,
@@ -246,13 +247,19 @@ class TestKeywordPanel:
     def test_requires_alignment(self):
         a = DateIndexedSeries(START, (1.0, 2.0))
         b = DateIndexedSeries(START + timedelta(days=1), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            KeywordPanel(("a", "b"), (a, b))
+        ranges = r"'b' covers \[2020-03-17, 2020-03-18\] but 'a' covers \[2020-03-16, 2020-03-17\]"
+        with pytest.raises(CoverageError, match=ranges):
+            KeywordPanel.from_mapping({"a": a, "b": b})
 
     def test_requires_unique_keywords(self):
-        a = DateIndexedSeries(START, (1.0, 2.0))
         with pytest.raises(ValueError):
-            KeywordPanel(("a", "a"), (a, a))
+            KeywordPanel(("a", "a"), START, [[1.0, 2.0], [1.0, 2.0]])
+
+    def test_values_are_read_only(self):
+        p = panel_of([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+        assert p.values.shape == (2, 3) and p.end_date == START + timedelta(days=2)
+        with pytest.raises(ValueError):
+            p.values[0, 0] = 9.0
 
     def test_from_mapping_sorts_keywords(self):
         a = DateIndexedSeries(START, (1.0, 2.0))

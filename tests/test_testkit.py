@@ -67,7 +67,7 @@ class TestLcg:
 class TestSynthPair:
     def test_zero_lag_zero_noise_aligns_exactly(self):
         case, metric = synth_pair(SyntheticScenario(length=80, lag=0, noise_amplitude=0.0, seed=3))
-        assert case.values == metric.values
+        assert case.values.tolist() == metric.values.tolist()
         result = dtw(minmax_normalize(case).values, metric.values)
         assert result.distance == 0.0
 
@@ -80,7 +80,7 @@ class TestSynthPair:
     def test_seed_matters_with_noise(self):
         a = synth_pair(SyntheticScenario(length=60, lag=5, noise_amplitude=0.1, seed=1))
         b = synth_pair(SyntheticScenario(length=60, lag=5, noise_amplitude=0.1, seed=2))
-        assert a[1].values != b[1].values
+        assert a[1].values.tolist() != b[1].values.tolist()
 
     def test_values_in_unit_interval(self):
         case, metric = synth_pair(SyntheticScenario(length=90, lag=12, noise_amplitude=0.3, seed=8))

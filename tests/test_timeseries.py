@@ -1,5 +1,6 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,10 +48,40 @@ class TestDateIndexedSeries:
         with pytest.raises(EmptySeriesError):
             DateIndexedSeries(MAR16, ())
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(NonFiniteValueError):
-            series([1.0, bad])
+    @pytest.mark.parametrize(
+        "values, first_bad",
+        [
+            pytest.param([1.0, float("nan")], "nan", id="nan"),
+            pytest.param([1.0, float("inf")], "inf", id="inf"),
+            pytest.param([1.0, float("-inf")], "-inf", id="-inf"),
+            pytest.param(np.array([1.0, np.inf, np.nan]), "inf", id="ndarray"),
+        ],
+    )
+    def test_rejects_non_finite(self, values, first_bad):
+        with pytest.raises(NonFiniteValueError, match=f"non-finite value {first_bad} "):
+            DateIndexedSeries(MAR16, values)
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            DateIndexedSeries(MAR16, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_values_are_read_only(self):
+        s = series([1, 2, 3])
+        with pytest.raises(ValueError):
+            s.values[0] = 9.0
+
+    @pytest.mark.parametrize("source", [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])])
+    def test_copies_its_input(self, source):
+        s = DateIndexedSeries(MAR16, source)
+        source[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_equality_by_start_date_and_values(self):
+        assert series([1, 2]) == series([1.0, 2.0])
+        assert series([1, 2]) != series([1, 2], start=days(1))
+        assert series([1, 2]) != series([1, 3])
+        assert series([1, 2]) != series([1, 2, 3])
+        assert series([1, 2]) != (1.0, 2.0)
 
     def test_value_on(self):
         s = series([5, 6, 7])
@@ -63,11 +94,11 @@ class TestValidateContiguous:
     def test_identity_on_contiguous_rows(self):
         s = validate_contiguous([(days(0), 1.0), (days(1), 2.0), (days(2), 3.0)])
         assert s.start_date == MAR16
-        assert s.values == (1.0, 2.0, 3.0)
+        assert tuple(s.values) == (1.0, 2.0, 3.0)
 
     def test_accepts_unsorted_rows(self):
         s = validate_contiguous([(days(2), 3.0), (days(0), 1.0), (days(1), 2.0)])
-        assert s.values == (1.0, 2.0, 3.0)
+        assert tuple(s.values) == (1.0, 2.0, 3.0)
 
     def test_single_missing_day(self):
         with pytest.raises(GapError) as exc:
@@ -90,10 +121,10 @@ class TestValidateContiguous:
 
 class TestMinmaxNormalize:
     def test_affine_map(self):
-        assert minmax_normalize(series([2, 4, 6])).values == (0.0, 0.5, 1.0)
+        assert tuple(minmax_normalize(series([2, 4, 6])).values) == (0.0, 0.5, 1.0)
 
     def test_identity_on_unit_endpoints(self):
-        assert minmax_normalize(series([0, 1])).values == (0.0, 1.0)
+        assert tuple(minmax_normalize(series([0, 1])).values) == (0.0, 1.0)
 
     def test_constant_series(self):
         with pytest.raises(DegenerateRangeError):
@@ -110,7 +141,7 @@ class TestMinmaxNormalize:
             return
         once = minmax_normalize(series(values))
         twice = minmax_normalize(once)
-        assert twice.values == once.values
+        assert twice.values.tolist() == once.values.tolist()
         assert all(0.0 <= v <= 1.0 for v in once.values)
 
     @given(finite_values)
@@ -130,8 +161,8 @@ class TestAlignRanges:
         b = series([7, 8, 9, 10, 11, 12, 13, 14], start=days(2))  # Mar18-Mar25
         a2, b2 = align_ranges(a, b)
         assert a2.start_date == b2.start_date == days(2)
-        assert a2.values == (3.0, 4.0, 5.0)
-        assert b2.values == (7.0, 8.0, 9.0)
+        assert tuple(a2.values) == (3.0, 4.0, 5.0)
+        assert tuple(b2.values) == (7.0, 8.0, 9.0)
 
     def test_identity_on_identical_ranges(self):
         a = series([1, 2, 3])
@@ -175,12 +206,12 @@ class TestCsvRoundTrip:
     def test_comment_line_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# manifest: {}\ndate,value\n2020-03-16,1\n2020-03-17,2\n")
-        assert read_series_csv(str(path)).values == (1.0, 2.0)
+        assert tuple(read_series_csv(str(path)).values) == (1.0, 2.0)
 
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_bytes(b"date,value\r\n2020-03-16,1\r\n2020-03-17,2\r\n")
-        assert read_series_csv(str(path)).values == (1.0, 2.0)
+        assert tuple(read_series_csv(str(path)).values) == (1.0, 2.0)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
