@@ -17,7 +17,6 @@ from .network import (
     KeywordPanel,
     MetricKind,
     NetworkMetricSeries,
-    ThresholdedGraph,
     clustering_coefficient,
     correlation_matrix_at,
     distance_correlation,
@@ -62,7 +61,6 @@ __all__ = [
     "rescale_daily",
     "msv_merge",
     "KeywordPanel",
-    "ThresholdedGraph",
     "NetworkMetricSeries",
     "MetricKind",
     "distance_correlation",

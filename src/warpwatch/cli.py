@@ -4,7 +4,8 @@ Every subcommand is deterministic: identical inputs and flags produce
 byte-identical outputs. Each emitted file carries a provenance manifest
 (command, parameters, input content hashes, artifact version) as a
 ``#`` comment line in CSVs or a top-level key in JSON. Exit codes:
-0 success, 2 input or usage error, 3 infeasible computation.
+0 success, 2 input or usage error, 3 infeasible computation; any other
+exception is a fault in the program and propagates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Sequence
 from . import __version__
 from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
 from .dtw import BandSpec, dtw
-from .errors import BandInfeasibleError, CoverageError, ParseError, WarpwatchError
+from .errors import BandInfeasibleError, CoverageError, ParseError, UsageError, WarpwatchError
 from .network import KeywordPanel, MetricKind, metric_series
 from .sweep import (
     DOMAINS,
@@ -49,8 +50,6 @@ from .timeseries import (
     write_series_csv,
 )
 from .trends import load_segments, load_weekly, msv_merge, rescale_daily
-
-THREADS_ENV = "WARPWATCH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,11 @@ def _load_panel(panel_dir: str) -> KeywordPanel:
     return KeywordPanel.from_mapping({p.stem: read_series_csv(str(p)) for p in paths})
 
 
-def _check_threads_env() -> None:
-    """Reject a malformed thread count. The sweep runs in one thread whatever
-    the value, because its DTW is pure Python and holds the interpreter lock."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return
+def _date_flag(flag: str, raw: str) -> date:
     try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ParseError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+        return parse_iso_date(raw)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _outdir(args) -> Path:
@@ -181,8 +173,7 @@ def _derive_cases(
 
 def _cmd_preprocess(args) -> int:
     if args.method == "rescale" and not args.weekly:
-        print("error: --weekly is required with --method rescale", file=sys.stderr)
-        return 2
+        raise UsageError("--weekly is required with --method rescale")
     method = Preprocess(args.method)
     series = _reconstruct(args.segments, args.weekly, [method])[method]
     input_paths = [args.segments] + ([args.weekly] if method is Preprocess.RESCALE else [])
@@ -205,8 +196,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_metrics(args) -> int:
     if not 0.0 < args.threshold <= 1.0:
-        print(f"error: --threshold must lie in (0, 1], got {args.threshold}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--threshold must lie in (0, 1], got {args.threshold}")
     panel = _load_panel(args.panel_dir)
     manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
     result = metric_series(panel, MetricKind(args.metric), args.threshold, args.window)
@@ -217,11 +207,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_cases(args) -> int:
-    start = parse_iso_date(args.start)
-    end = parse_iso_date(args.end)
+    start = _date_flag("--start", args.start)
+    end = _date_flag("--end", args.end)
     if end < start:
-        print(f"error: --end {args.end} precedes --start {args.start}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--end {args.end} precedes --start {args.start}")
     n_records, cases = _derive_cases(args.linelist, args.region, args.province, start, end)
     manifest = _manifest(args, [args.linelist])
     out = _outdir(args)
@@ -232,6 +221,8 @@ def _cmd_cases(args) -> int:
 
 
 def _cmd_dtw(args) -> int:
+    if args.radius is not None and args.radius < 0:
+        raise UsageError(f"--radius must be nonnegative, got {args.radius}")
     case = read_series_csv(args.case)
     metric = read_series_csv(args.metric)
     # sanity: the two series must refer to a common period, but DTW runs on
@@ -337,8 +328,7 @@ def _optimal_csv(path: Path, rows: Sequence[SweepResult], preamble: str) -> None
 def _cmd_sweep(args) -> int:
     domains = _load_sweep_domains(args.config)
     if Preprocess.RESCALE in domains["preprocess"] and not args.weekly:
-        print("error: --weekly is required when the sweep includes the rescale method", file=sys.stderr)
-        return 2
+        raise UsageError("--weekly is required when the sweep includes the rescale method")
 
     panels = {
         method: KeywordPanel.from_mapping(series)
@@ -346,16 +336,14 @@ def _cmd_sweep(args) -> int:
     }
 
     any_panel = next(iter(panels.values()))
-    start = parse_iso_date(args.start) if args.start else any_panel.start_date
-    end = parse_iso_date(args.end) if args.end else any_panel.end_date
+    start = _date_flag("--start", args.start) if args.start else any_panel.start_date
+    end = _date_flag("--end", args.end) if args.end else any_panel.end_date
     if end < start:
-        print(f"error: --end {end} precedes --start {start}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--end {end} precedes --start {start}")
 
     _, case_series = _derive_cases(args.linelist, args.region, args.province, start, end)
 
     configs = enumerate_configs(*(domains[name] for name in PARAMETER_NAMES))
-    _check_threads_env()
     results = run_sweep(panels, case_series, configs)
 
     input_paths = [args.segments, args.linelist] + ([args.weekly] if args.weekly else [])
@@ -399,18 +387,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.length < 2:
+        raise UsageError(f"--length must be at least 2, got {args.length}")
     if not 0 <= args.lag < args.length:
-        print(f"error: --lag must satisfy 0 <= lag < length, got {args.lag}", file=sys.stderr)
-        return 2
-    if args.noise < 0:
-        print(f"error: --noise must be nonnegative, got {args.noise}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--lag must satisfy 0 <= lag < length, got {args.lag}")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError(f"--noise must be finite and nonnegative, got {args.noise}")
     scenario = SyntheticScenario(
         length=args.length,
         lag=args.lag,
         noise_amplitude=args.noise,
         seed=args.seed,
-        start_date=parse_iso_date(args.start),
+        start_date=_date_flag("--start", args.start),
     )
     case, metric = synth_pair(scenario)
     manifest = _manifest(args, [])
@@ -499,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BandInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WarpwatchError, OSError, ValueError) as exc:
+    except (WarpwatchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,10 @@ class BandInfeasibleError(WarpwatchError):
     """The Sakoe-Chiba band excludes the terminal cell (length gap > radius)."""
 
 
+class UsageError(WarpwatchError):
+    """A command-line flag holds a value outside its documented domain."""
+
+
 class ParseError(WarpwatchError):
     """A file violated its documented format. Carries the 1-based line number."""
 

@@ -81,30 +81,6 @@ class KeywordPanel:
 
 
 @dataclass(frozen=True)
-class ThresholdedGraph:
-    """Undirected, loop-free adjacency: edges are (i, j) pairs with i < j."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) invalid for {self.n} nodes")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-
-@dataclass(frozen=True)
 class NetworkMetricSeries:
     metric_kind: MetricKind
     series: DateIndexedSeries
@@ -173,41 +149,47 @@ def correlation_matrix_at(panel: KeywordPanel, t: date, window: int) -> np.ndarr
     return matrix
 
 
-def threshold_graph(matrix: np.ndarray, theta: float) -> ThresholdedGraph:
-    """Edge {i, j} present iff matrix(i, j) >= theta; the comparison is inclusive."""
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if m[i, j] >= theta
-    )
-    return ThresholdedGraph(n=n, edges=edges)
+def threshold_graph(matrices: np.ndarray, theta: float) -> np.ndarray:
+    """Boolean adjacency of a ``(..., N, N)`` stack of correlation matrices.
 
-
-def network_density(g: ThresholdedGraph) -> float:
-    """Realized fraction of possible edges: 2E / (n (n - 1))."""
-    if g.n < 2:
-        raise TooFewNodesError(f"density undefined on {g.n} node(s)")
-    return 2.0 * g.edge_count / (g.n * (g.n - 1))
-
-
-def clustering_coefficient(g: ThresholdedGraph) -> float:
-    """Global transitivity: 3 * triangles / connected triplets, 0 when no triplets.
-
-    Closed triplets are counted as common neighbors summed over edges
-    (each triangle is seen from its three edges), open-plus-closed
-    triplets as sum over vertices of C(deg, 2). Integer arithmetic keeps
-    the ratio exact.
+    Edge {i, j} is present iff matrix(i, j) >= theta for i < j; the
+    comparison is inclusive. Only the upper triangle is read, then
+    mirrored, so the diagonal is always False.
     """
-    adj = g.adjacency_sets()
-    closed = sum(len(adj[i] & adj[j]) for i, j in g.edges)
-    triplets = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj)
-    if triplets == 0:
-        return 0.0
-    return closed / triplets
+    upper = np.triu(np.asarray(matrices, dtype=float) >= theta, k=1)
+    return upper | np.swapaxes(upper, -1, -2)
 
 
-def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> list[np.ndarray]:
-    """Per-day correlation matrices from day (window - 1) onward.
+def network_density(adjacency: np.ndarray) -> np.ndarray:
+    """Realized fraction of possible edges, 2E / (n (n - 1)), one value per
+    leading index of a ``(..., n, n)`` adjacency stack. The mirrored
+    adjacency holds each edge twice, so its sum is 2E exactly."""
+    n = adjacency.shape[-1]
+    if n < 2:
+        raise TooFewNodesError(f"density undefined on {n} node(s)")
+    return adjacency.sum(axis=(-2, -1)) / (n * (n - 1))
+
+
+def clustering_coefficient(adjacency: np.ndarray) -> np.ndarray:
+    """Global transitivity: 3 * triangles / connected triplets, 0 when no
+    triplets; one value per leading index of a ``(..., n, n)`` adjacency stack.
+
+    trace(A^3) counts each triangle six times (three start vertices, two
+    directions), so closed triplets are trace(A^3) / 2; open-plus-closed
+    triplets are the sum over vertices of C(deg, 2). Both counts are exact
+    integers, so the ratio is correctly rounded. A graph without triplets
+    has no triangle either, which makes that case 0 / 1.
+    """
+    a = adjacency.astype(np.int64)
+    closed = np.trace(a @ a @ a, axis1=-2, axis2=-1) // 2
+    degree = a.sum(axis=-1)
+    triplets = (degree * (degree - 1) // 2).sum(axis=-1)
+    return closed / np.maximum(triplets, 1)
+
+
+def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
+    """Read-only ``(days, N, N)`` stack of per-day correlation matrices from
+    day (window - 1) onward.
 
     This is the expensive intermediate; the sweep reuses one sequence
     across every threshold and metric choice.
@@ -217,21 +199,24 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> list[np.nda
             f"panel of {len(panel)} days cannot support a {window}-day window"
         )
     start = panel.start_date
-    return [
-        correlation_matrix_at(panel, start + timedelta(days=offset), window)
-        for offset in range(window - 1, len(panel))
-    ]
+    return read_only_array(
+        [
+            correlation_matrix_at(panel, start + timedelta(days=offset), window)
+            for offset in range(window - 1, len(panel))
+        ],
+        3,
+    )
 
 
 def metric_series_from_matrices(
-    matrices: Sequence[np.ndarray],
+    matrices: np.ndarray,
     first_date: date,
     metric_kind: MetricKind,
     theta: float,
 ) -> NetworkMetricSeries:
-    """Threshold each matrix and evaluate one metric per day."""
+    """Threshold the ``(days, N, N)`` stack and evaluate one metric per day."""
     metric = network_density if metric_kind is MetricKind.DENSITY else clustering_coefficient
-    values = [metric(threshold_graph(m, theta)) for m in matrices]
+    values = metric(threshold_graph(matrices, theta))
     return NetworkMetricSeries(metric_kind, DateIndexedSeries(first_date, values))
 
 

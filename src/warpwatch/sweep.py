@@ -15,6 +15,8 @@ from datetime import timedelta
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .cases import CaseKind
 from .dtw import BandSpec, dtw
 from .errors import WarpwatchError
@@ -143,7 +145,7 @@ def run_sweep(
         except WarpwatchError as exc:
             case_errors[case_type] = f"{type(exc).__name__}: {exc}"
 
-    matrix_cache: dict[tuple[Preprocess, int], tuple[list, KeywordPanel]] = {}
+    matrix_cache: dict[tuple[Preprocess, int], tuple[np.ndarray, KeywordPanel]] = {}
     matrix_errors: dict[tuple[Preprocess, int], str] = {}
     for key in sorted({(c.preprocess, c.window) for c in cfgs}, key=lambda k: (k[0].value, k[1])):
         preprocess, window = key

@@ -13,7 +13,6 @@ from datetime import date
 
 from .dtw import BandSpec
 from .errors import BandInfeasibleError, EmptySeriesError, TooFewNodesError, TooLargeError
-from .network import ThresholdedGraph
 from .timeseries import DateIndexedSeries
 
 _ORACLE_MAX_LEN = 8
@@ -96,22 +95,27 @@ def brute_force_dtw(x, y, band: BandSpec | None = None) -> float:
     return best[0]
 
 
-def graph_metric_oracle(g: ThresholdedGraph) -> tuple[float, float]:
-    """(density, transitivity) by direct counting over all vertex triples."""
-    if g.n > _ORACLE_MAX_NODES:
+def graph_metric_oracle(n: int, edges) -> tuple[float, float]:
+    """(density, transitivity) of the undirected graph on ``n`` nodes whose
+    edges are (i, j) pairs with i < j, by direct counting over all vertex triples."""
+    edges = frozenset(edges)
+    if n > _ORACLE_MAX_NODES:
         raise TooLargeError(f"oracle capped at {_ORACLE_MAX_NODES} nodes")
-    if g.n < 2:
-        raise TooFewNodesError(f"density undefined on {g.n} node(s)")
-    possible = g.n * (g.n - 1) // 2
-    density = len(g.edges) / possible
+    if n < 2:
+        raise TooFewNodesError(f"density undefined on {n} node(s)")
+    for i, j in edges:
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge ({i}, {j}) invalid for {n} nodes")
+    possible = n * (n - 1) // 2
+    density = len(edges) / possible
 
     triangles = 0
     triplets = 0
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            for c in range(b + 1, g.n):
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
                 present = sum(
-                    1 for e in ((a, b), (a, c), (b, c)) if e in g.edges
+                    1 for e in ((a, b), (a, c), (b, c)) if e in edges
                 )
                 if present == 3:
                     triangles += 1

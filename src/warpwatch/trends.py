@@ -134,7 +134,10 @@ def load_segments(path: str) -> list[DailySegment]:
 
 
 def load_weekly(path: str) -> dict[str, WeeklySeries]:
-    """Parse a weekly CSV (``keyword,week_start,value``) grouped by keyword."""
+    """Parse a weekly CSV (``keyword,week_start,value``) grouped by keyword.
+
+    A keyword whose week starts are not 7 days apart raises ParseError.
+    """
     rows: dict[str, list[tuple[date, float]]] = {}
     for lineno, (keyword, raw_start, raw_value) in read_csv_rows(path, WEEKLY_HEADER):
         try:
@@ -151,11 +154,14 @@ def load_weekly(path: str) -> dict[str, WeeklySeries]:
     out: dict[str, WeeklySeries] = {}
     for keyword, pairs in rows.items():
         pairs.sort(key=lambda p: p[0])
-        out[keyword] = WeeklySeries(
-            keyword,
-            tuple(d for d, _ in pairs),
-            tuple(v for _, v in pairs),
-        )
+        try:
+            out[keyword] = WeeklySeries(
+                keyword,
+                tuple(d for d, _ in pairs),
+                tuple(v for _, v in pairs),
+            )
+        except ValueError as exc:  # the week starts' 7-day spacing
+            raise ParseError(f"keyword {keyword!r}: {exc}") from exc
     return out
 
 
@@ -209,6 +215,8 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
     merged / segment, restricted to days where the segment value is
     positive (a factor of 1 when no such day exists). Overlap days keep
     the already-merged value; only the new tail is appended, scaled.
+    Raises CoverageError when the merged overlap is zero on every such
+    day: a factor of 0 would zero every later day of the series.
     """
     if not segments:
         raise NoOverlapError("no segments supplied")
@@ -231,6 +239,11 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
             if offset < len(merged) and value > 0.0:
                 ratios.append(merged[offset] / value)
         factor = sum(ratios) / len(ratios) if ratios else 1.0
+        if factor == 0.0:
+            raise CoverageError(
+                f"keyword {seg.keyword!r}: segment starting {seg.start_date.isoformat()} is positive"
+                " where the merged overlap is all zero, so its correction factor would be 0"
+            )
         for day, value in seg.items():
             offset = (day - d0).days
             if offset >= len(merged):

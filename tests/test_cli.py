@@ -397,17 +397,6 @@ class TestSweep:
         rows = read_rows(out / "sweep.csv")  # the status column still records why
         assert all("DegenerateRangeError" in row[-1] for row in rows[1:])
 
-    def test_invalid_threads_env_rejected(self, tmp_path, sweep_inputs, monkeypatch):
-        monkeypatch.setenv("WARPWATCH_THREADS", "zero")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7]}))
-        code = run(
-            "sweep", "--segments", sweep_inputs.segments, "--weekly", sweep_inputs.weekly,
-            "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR",
-            "--config", config, "--outdir", tmp_path / "o",
-        )
-        assert code == 2
-
 
 class TestPipelineComposition:
     def test_emitted_files_feed_the_next_stage(self, tmp_path, sweep_inputs):
@@ -479,6 +468,65 @@ class TestManifest:
             }
             assert manifest["command"] == name
             assert set(manifest["parameters"]) == flags | ({"domains"} if name == "sweep" else set())
+
+
+def bad_date(flag, raw):
+    return f"{flag}: bad date {raw!r}: expected YYYY-MM-DD"
+
+
+BAD_WEEKLY = "keyword,week_start,value\ncough,2020-03-16,50\ncough,2020-03-24,60\n"
+CASES = ["cases", "--linelist", "{linelist}", "--region", "NCR", "--province", "NCR"]
+SWEEP = ["sweep", "--segments", "{segments}", "--weekly", "{weekly}", "--linelist", "{linelist}",
+         "--region", "NCR", "--province", "NCR"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (CASES + ["--start", "2020-13-01", "--end", "2020-03-20"], bad_date("--start", "2020-13-01")),
+            (CASES + ["--start", "2020-03-16", "--end", "2020-02-30"], bad_date("--end", "2020-02-30")),
+            (SWEEP + ["--start", "2020-13-01"], bad_date("--start", "2020-13-01")),
+            (SWEEP + ["--end", "March 20"], bad_date("--end", "March 20")),
+            (["synth", "--start", "2020-13-01"], bad_date("--start", "2020-13-01")),
+            (["synth", "--length", "1"], "--length must be at least 2, got 1"),
+            (["synth", "--noise", "nan"], "--noise must be finite and nonnegative, got nan"),
+            (["dtw", "--case", "{case}", "--metric", "{case}", "--radius", "-1"],
+             "--radius must be nonnegative, got -1"),
+            (["preprocess", "--segments", "{segments}", "--weekly", "{bad_weekly}", "--method", "rescale"],
+             "keyword 'cough': week starts must be 7 days apart, got 2020-03-16 then 2020-03-24"),
+        ],
+    )
+    def test_user_error_exits_2_with_message(self, tmp_path, sweep_inputs, capsys, argv, message):
+        assert run("synth", "--length", 20, "--outdir", tmp_path / "synth") == 0
+        (tmp_path / "weekly.csv").write_text(BAD_WEEKLY)
+        paths = {
+            "linelist": sweep_inputs.linelist,
+            "segments": sweep_inputs.segments,
+            "weekly": sweep_inputs.weekly,
+            "bad_weekly": tmp_path / "weekly.csv",
+            "case": tmp_path / "synth" / "case.csv",
+        }
+        capsys.readouterr()
+        assert run(*[arg.format(**paths) for arg in argv], "--outdir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        assert run("synth", "--length", 20, "--outdir", tmp_path / "synth") == 0
+        case = tmp_path / "case.csv"
+        case.write_bytes(b"date,value\n2020-01-01,0.5\xff\n")
+        code = run("dtw", "--case", case, "--metric", tmp_path / "synth" / "metric.csv",
+                   "--outdir", tmp_path / "o")
+        assert code == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(scenario):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("warpwatch.cli.synth_pair", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run("synth", "--outdir", tmp_path / "o")
 
 
 class TestEntryPoint:

@@ -16,11 +16,12 @@ from warpwatch.errors import (
 from warpwatch.network import (
     KeywordPanel,
     MetricKind,
-    ThresholdedGraph,
     clustering_coefficient,
     correlation_matrix_at,
+    correlation_matrix_sequence,
     distance_correlation,
     metric_series,
+    metric_series_from_matrices,
     network_density,
     threshold_graph,
 )
@@ -47,8 +48,15 @@ def panel_of(series_values, start=START):
     )
 
 
+def adjacency(n, edges):
+    a = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        a[i, j] = a[j, i] = True
+    return a
+
+
 def complete_graph(n):
-    return ThresholdedGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return ~np.eye(n, dtype=bool)
 
 
 class TestDistanceCorrelation:
@@ -128,21 +136,34 @@ class TestThresholdGraph:
     def test_threshold_is_inclusive(self):
         m = np.array([[1.0, 0.8], [0.8, 1.0]])
         g = threshold_graph(m, 0.8)
-        assert g.edges == frozenset({(0, 1)})
+        np.testing.assert_array_equal(g, adjacency(2, {(0, 1)}))
 
     def test_all_below_threshold(self):
         m = np.full((4, 4), 0.3)
         np.fill_diagonal(m, 1.0)
-        assert threshold_graph(m, 0.4).edges == frozenset()
+        assert not threshold_graph(m, 0.4).any()
 
     def test_all_ones_gives_complete_graph(self):
         m = np.ones((5, 5))
         g = threshold_graph(m, 1.0)
-        assert g.edge_count == 10
+        np.testing.assert_array_equal(g, complete_graph(5))
+        assert np.triu(g).sum() == 10
 
     def test_diagonal_ignored(self):
         m = np.eye(3)
-        assert threshold_graph(m, 0.5).edges == frozenset()
+        assert not threshold_graph(m, 0.5).any()
+
+    def test_non_symmetric_matrix_reads_the_upper_triangle(self):
+        m = np.array([[1.0, 0.9, 0.1], [0.1, 1.0, 0.2], [0.9, 0.9, 1.0]])
+        np.testing.assert_array_equal(threshold_graph(m, 0.5), adjacency(3, {(0, 1)}))
+
+    def test_stack_thresholds_each_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(0.0, 1.0, size=(7, 4, 4))
+        g = threshold_graph(stack, 0.5)
+        assert g.shape == (7, 4, 4) and g.dtype == bool
+        for day in range(7):
+            np.testing.assert_array_equal(g[day], threshold_graph(stack[day], 0.5))
 
     @given(st.integers(min_value=2, max_value=6), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=100, deadline=None)
@@ -154,7 +175,7 @@ class TestThresholdGraph:
         g = threshold_graph(m, theta)
         for i in range(n):
             for j in range(i + 1, n):
-                assert ((i, j) in g.edges) == (m[i, j] >= theta)
+                assert g[i, j] == g[j, i] == (m[i, j] >= theta)
 
 
 class TestGraphMetrics:
@@ -162,39 +183,39 @@ class TestGraphMetrics:
         assert network_density(complete_graph(15)) == 1.0
 
     def test_empty_density(self):
-        assert network_density(ThresholdedGraph(15, frozenset())) == 0.0
+        assert network_density(adjacency(15, ())) == 0.0
 
     def test_partial_density(self):
         edges = frozenset((0, j) for j in range(1, 15)) | frozenset((1, j) for j in range(2, 9))
         assert len(edges) == 21
-        assert network_density(ThresholdedGraph(15, edges)) == 0.2
+        assert network_density(adjacency(15, edges)) == 0.2
 
     def test_density_needs_two_nodes(self):
         with pytest.raises(TooFewNodesError):
-            network_density(ThresholdedGraph(1, frozenset()))
+            network_density(adjacency(1, ()))
 
     def test_triangle_clustering(self):
         assert clustering_coefficient(complete_graph(3)) == 1.0
 
     def test_star_clustering(self):
-        star = ThresholdedGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+        star = adjacency(4, {(0, 1), (0, 2), (0, 3)})
         assert clustering_coefficient(star) == 0.0
 
     def test_triangle_plus_pendant(self):
         # 5 connected triplets, 1 triangle: 3/5 (enumerated by hand)
-        g = ThresholdedGraph(4, frozenset({(0, 1), (0, 2), (1, 2), (0, 3)}))
+        g = adjacency(4, {(0, 1), (0, 2), (1, 2), (0, 3)})
         assert clustering_coefficient(g) == 0.6
 
     def test_edgeless_clustering_is_zero(self):
-        assert clustering_coefficient(ThresholdedGraph(5, frozenset())) == 0.0
+        assert clustering_coefficient(adjacency(5, ())) == 0.0
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2 ** 15 - 1))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_triple_enumeration_oracle(self, n, mask):
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = frozenset(p for bit, p in enumerate(all_pairs) if mask >> bit & 1)
-        g = ThresholdedGraph(n, edges)
-        density, transitivity = graph_metric_oracle(g)
+        g = adjacency(n, edges)
+        density, transitivity = graph_metric_oracle(n, edges)
         assert network_density(g) == density
         assert clustering_coefficient(g) == transitivity
 
@@ -224,6 +245,25 @@ class TestMetricSeries:
         p = panel_of([range(30), [v * 3 + 1 for v in range(30)]])
         out = metric_series(p, MetricKind.CLUSTERING, theta=0.5, window=30)
         assert len(out.series) == 1
+
+    def test_matrix_sequence_is_one_read_only_stack(self):
+        p = panel_of([range(20), [v % 7 for v in range(20)], [v * v for v in range(20)]])
+        matrices = correlation_matrix_sequence(p, 15)
+        assert matrices.shape == (6, 3, 3) and matrices.dtype == np.float64
+        np.testing.assert_array_equal(
+            matrices[-1], correlation_matrix_at(p, START + timedelta(days=19), 15)
+        )
+        with pytest.raises(ValueError):
+            matrices[0, 0, 1] = 0.0
+
+    def test_metric_series_from_matrices_matches_per_day_metrics(self):
+        rng = np.random.default_rng(11)
+        p = panel_of([rng.uniform(0, 100, 40) for _ in range(5)])
+        matrices = correlation_matrix_sequence(p, 15)
+        out = metric_series_from_matrices(matrices, START, MetricKind.CLUSTERING, 0.5)
+        assert list(out.series.values) == [
+            clustering_coefficient(threshold_graph(m, 0.5)) for m in matrices
+        ]
 
     def test_identical_series_give_constant_density_one(self):
         p = panel_of([range(40), range(40), range(40)])

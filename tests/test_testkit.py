@@ -2,7 +2,6 @@ import pytest
 
 from warpwatch.dtw import BandSpec, dtw
 from warpwatch.errors import BandInfeasibleError, TooLargeError
-from warpwatch.network import ThresholdedGraph
 from warpwatch.testkit import (
     Lcg,
     SyntheticScenario,
@@ -31,22 +30,24 @@ class TestBruteForceDtw:
 
 class TestGraphMetricOracle:
     def test_triangle(self):
-        g = ThresholdedGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-        assert graph_metric_oracle(g) == (1.0, 1.0)
+        assert graph_metric_oracle(3, {(0, 1), (0, 2), (1, 2)}) == (1.0, 1.0)
 
     def test_path_graph(self):
-        g = ThresholdedGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-        assert graph_metric_oracle(g) == (0.5, 0.0)
+        assert graph_metric_oracle(4, {(0, 1), (1, 2), (2, 3)}) == (0.5, 0.0)
 
     def test_triangle_plus_pendant(self):
-        g = ThresholdedGraph(4, frozenset({(0, 1), (0, 2), (1, 2), (0, 3)}))
-        density, transitivity = graph_metric_oracle(g)
+        density, transitivity = graph_metric_oracle(4, {(0, 1), (0, 2), (1, 2), (0, 3)})
         assert density == pytest.approx(4 / 6)
         assert transitivity == 0.6
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
-            graph_metric_oracle(ThresholdedGraph(9, frozenset()))
+            graph_metric_oracle(9, ())
+
+    @pytest.mark.parametrize("edge", [(1, 0), (0, 0), (0, 4)])
+    def test_edges_must_be_ordered_pairs_of_nodes(self, edge):
+        with pytest.raises(ValueError, match="invalid for 4 nodes"):
+            graph_metric_oracle(4, {edge})
 
 
 class TestLcg:

@@ -116,6 +116,12 @@ class TestLoadWeekly:
         with pytest.raises(RangeError):
             load_weekly(str(path))
 
+    def test_week_spacing_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text("keyword,week_start,value\ncough,2020-03-16,50\ncough,2020-03-24,60\n")
+        with pytest.raises(ParseError, match="'cough': week starts must be 7 days apart"):
+            load_weekly(str(path))
+
 
 class TestRescaleDaily:
     def test_constant_segment_constant_weekly(self):
@@ -201,6 +207,17 @@ class TestMsvMerge:
         seg2 = segment(28, [0.0, 0.0] + [20.0] * 28)
         out = msv_merge([seg1, seg2])
         assert out.values[30] / max(out.values) == pytest.approx(20.0 / max(10.0, 20.0))
+
+    def test_zero_factor_raises_instead_of_zeroing_the_tail(self):
+        # the second segment's head (5) meets an all-zero merged overlap, so
+        # its factor is 0; merging on would give 0.0 for days 20-69
+        segments = [
+            segment(0, [50.0] * 20 + [0.0] * 10),
+            segment(20, [5.0] * 10 + [80.0] * 20),
+            segment(40, [80.0] * 30),
+        ]
+        with pytest.raises(CoverageError, match="'cough': segment starting 2020-04-05"):
+            msv_merge(segments)
 
     def test_max_is_exactly_100(self):
         rng = random.Random(5)
