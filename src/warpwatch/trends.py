@@ -15,73 +15,73 @@ Both are deterministic and keep the covered range contiguous.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import CoverageError, NoOverlapError, ParseError, RangeError
-from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows
+from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows, read_only_array
 
 SEGMENT_DAYS = 30
 
 SEGMENT_HEADER = ("keyword", "segment_start", "date", "value")
 WEEKLY_HEADER = ("keyword", "week_start", "value")
 
+logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+
+def _scores(values, what: str) -> np.ndarray:
+    """Read-only float64 copy of ``values``; RangeError names the first outside [0, 100]."""
+    array = read_only_array(values, 1)
+    outside = (array < 0.0) | (array > 100.0)
+    if outside.any():
+        raise RangeError(f"{what} value {float(array[outside][0])} outside [0, 100]")
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class DailySegment:
     """Exactly 30 consecutive daily scores in [0, 100] for one keyword."""
 
     keyword: str
     start_date: date
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _scores(self.values, "segment"))
         if len(self.values) != SEGMENT_DAYS:
             raise ValueError(f"segment must hold exactly {SEGMENT_DAYS} values, got {len(self.values)}")
-        for v in self.values:
-            if not 0.0 <= v <= 100.0:
-                raise RangeError(f"segment value {v} outside [0, 100]")
 
     @property
     def end_date(self) -> date:
         return self.start_date + timedelta(days=SEGMENT_DAYS - 1)
 
-    def items(self) -> Iterable[tuple[date, float]]:
-        for i, v in enumerate(self.values):
-            yield self.start_date + timedelta(days=i), v
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeeklySeries:
-    """Weekly scores in [0, 100]; week starts are 7 days apart and define
-    the calibration buckets (the reference, not ISO weeks, owns the bucketing)."""
+    """Weekly scores in [0, 100]; week k is the 7 days starting
+    ``start_date + 7k`` and defines a calibration bucket (the reference,
+    not ISO weeks, owns the bucketing)."""
 
     keyword: str
-    week_start_dates: tuple[date, ...]
-    values: tuple[float, ...]
+    start_date: date
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.week_start_dates) != len(self.values):
-            raise ValueError("one value per week start required")
-        if not self.week_start_dates:
-            raise ValueError("weekly series must not be empty")
-        for a, b in zip(self.week_start_dates, self.week_start_dates[1:]):
-            if (b - a).days != 7:
-                raise ValueError(f"week starts must be 7 days apart, got {a} then {b}")
-        for v in self.values:
-            if not 0.0 <= v <= 100.0:
-                raise RangeError(f"weekly value {v} outside [0, 100]")
+        object.__setattr__(self, "values", _scores(self.values, "weekly"))
 
-    def week_index_of(self, day: date) -> int | None:
-        """Index of the week bucket containing ``day``, or None if uncovered."""
-        offset = (day - self.week_start_dates[0]).days
-        if offset < 0:
-            return None
-        idx = offset // 7
-        if idx >= len(self.values):
-            return None
-        return idx
+
+def _parse_score(raw: str, lineno: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ParseError(f"bad value {raw!r}", lineno) from exc
+    if not 0.0 <= value <= 100.0:
+        raise RangeError(f"value {value} outside [0, 100]", lineno)
+    return value
 
 
 def load_segments(path: str) -> list[DailySegment]:
@@ -92,7 +92,7 @@ def load_segments(path: str) -> list[DailySegment]:
     outside [0, 100] raise RangeError; structural violations raise
     ParseError with the offending line number.
     """
-    groups: dict[tuple[str, date], dict[date, float]] = {}
+    slots: dict[tuple[str, date], list[float | None]] = {}
     first_line: dict[tuple[str, date], int] = {}
     for lineno, (keyword, raw_start, raw_day, raw_value) in read_csv_rows(path, SEGMENT_HEADER):
         try:
@@ -100,12 +100,7 @@ def load_segments(path: str) -> list[DailySegment]:
             day = parse_iso_date(raw_day)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        try:
-            value = float(raw_value)
-        except ValueError as exc:
-            raise ParseError(f"bad value {raw_value!r}", lineno) from exc
-        if not 0.0 <= value <= 100.0:
-            raise RangeError(f"value {value} outside [0, 100]", lineno)
+        value = _parse_score(raw_value, lineno)
         offset = (day - seg_start).days
         if offset < 0 or offset >= SEGMENT_DAYS:
             raise ParseError(
@@ -113,22 +108,23 @@ def load_segments(path: str) -> list[DailySegment]:
                 lineno,
             )
         key = (keyword, seg_start)
-        bucket = groups.setdefault(key, {})
-        first_line.setdefault(key, lineno)
-        if day in bucket:
+        row = slots.get(key)
+        if row is None:
+            row = slots[key] = [None] * SEGMENT_DAYS
+            first_line[key] = lineno
+        if row[offset] is not None:
             raise ParseError(f"duplicate date {day.isoformat()} within segment", lineno)
-        bucket[day] = value
+        row[offset] = value
 
     segments: list[DailySegment] = []
-    for (keyword, seg_start), bucket in groups.items():
-        if len(bucket) != SEGMENT_DAYS:
+    for (keyword, seg_start), row in slots.items():
+        if None in row:
             raise ParseError(
-                f"segment {keyword!r} starting {seg_start.isoformat()} has {len(bucket)} rows,"
-                f" expected {SEGMENT_DAYS}",
+                f"segment {keyword!r} starting {seg_start.isoformat()} has"
+                f" {SEGMENT_DAYS - row.count(None)} rows, expected {SEGMENT_DAYS}",
                 first_line[(keyword, seg_start)],
             )
-        ordered = tuple(bucket[seg_start + timedelta(days=i)] for i in range(SEGMENT_DAYS))
-        segments.append(DailySegment(keyword, seg_start, ordered))
+        segments.append(DailySegment(keyword, seg_start, row))
     segments.sort(key=lambda s: (s.keyword, s.start_date))
     return segments
 
@@ -144,25 +140,20 @@ def load_weekly(path: str) -> dict[str, WeeklySeries]:
             week_start = parse_iso_date(raw_start)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        try:
-            value = float(raw_value)
-        except ValueError as exc:
-            raise ParseError(f"bad value {raw_value!r}", lineno) from exc
-        if not 0.0 <= value <= 100.0:
-            raise RangeError(f"value {value} outside [0, 100]", lineno)
-        rows.setdefault(keyword, []).append((week_start, value))
+        rows.setdefault(keyword, []).append((week_start, _parse_score(raw_value, lineno)))
     out: dict[str, WeeklySeries] = {}
     for keyword, pairs in rows.items():
         pairs.sort(key=lambda p: p[0])
-        try:
-            out[keyword] = WeeklySeries(
-                keyword,
-                tuple(d for d, _ in pairs),
-                tuple(v for _, v in pairs),
-            )
-        except ValueError as exc:  # the week starts' 7-day spacing
-            raise ParseError(f"keyword {keyword!r}: {exc}") from exc
+        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+            if (b - a).days != 7:
+                raise ParseError(f"keyword {keyword!r}: week starts must be 7 days apart, got {a} then {b}")
+        out[keyword] = WeeklySeries(keyword, pairs[0][0], [v for _, v in pairs])
     return out
+
+
+def _in_start_order(segments: Sequence[DailySegment]) -> list[DailySegment]:
+    """Segments by start date, ties broken by their values, so input order never matters."""
+    return sorted(segments, key=lambda s: (s.start_date, s.values.tolist()))
 
 
 def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> DateIndexedSeries:
@@ -177,34 +168,33 @@ def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> Dat
     """
     if not segments:
         raise CoverageError("no segments supplied")
-    ordered = sorted(segments, key=lambda s: (s.start_date, s.values))
-    d0 = min(s.start_date for s in ordered)
-    d1 = max(s.end_date for s in ordered)
-    n_days = (d1 - d0).days + 1
-    sums = [0.0] * n_days
-    counts = [0] * n_days
+    ordered = _in_start_order(segments)
+    d0 = ordered[0].start_date
+    values = np.stack([s.values for s in ordered])
+    # day offset from d0 and week bucket of every (segment, day) cell
+    offsets = np.array([(s.start_date - d0).days for s in ordered])[:, None] + np.arange(SEGMENT_DAYS)
+    weeks = (offsets + (d0 - weekly.start_date).days) // 7
+    uncovered = ((weeks < 0) | (weeks >= len(weekly.values))).ravel()
+    if uncovered.any():
+        first = d0 + timedelta(days=int(offsets.ravel()[uncovered.argmax()]))
+        raise CoverageError(f"day {first.isoformat()} has no week in the weekly reference")
 
-    for seg in ordered:
-        by_week: dict[int, list[tuple[int, float]]] = {}
-        for day, value in seg.items():
-            idx = weekly.week_index_of(day)
-            if idx is None:
-                raise CoverageError(
-                    f"day {day.isoformat()} has no week in the weekly reference"
-                )
-            by_week.setdefault(idx, []).append(((day - d0).days, value))
-        for idx, entries in sorted(by_week.items()):
-            mean = sum(v for _, v in entries) / len(entries)
-            factor = weekly.values[idx] / mean if mean > 0.0 else 0.0
-            for offset, value in entries:
-                sums[offset] += value * factor
-                counts[offset] += 1
+    # one bucket per (segment, week); bincount adds in row order, as a loop would
+    local = weeks - weeks[:, :1]
+    buckets = (np.arange(len(ordered))[:, None] * (int(local.max()) + 1) + local).ravel()
+    sums = np.bincount(buckets, weights=values.ravel())
+    counts = np.bincount(buckets)
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[buckets]
+    factors = np.divide(weekly.values[weeks.ravel()], means, out=np.zeros_like(means), where=means > 0.0)
 
-    missing = [d0 + timedelta(days=i) for i, c in enumerate(counts) if c == 0]
-    if missing:
-        shown = ", ".join(d.isoformat() for d in missing[:5])
+    days = offsets.ravel()
+    day_sums = np.bincount(days, weights=values.ravel() * factors)
+    day_counts = np.bincount(days)
+    missing = np.flatnonzero(day_counts == 0)
+    if missing.size:
+        shown = ", ".join((d0 + timedelta(days=int(i))).isoformat() for i in missing[:5])
         raise CoverageError(f"days covered by no segment: {shown}")
-    return DateIndexedSeries(d0, [s / c for s, c in zip(sums, counts)])
+    return DateIndexedSeries(d0, day_sums / day_counts)
 
 
 def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
@@ -213,43 +203,47 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
 
     The factor for a segment is the mean over overlap days of
     merged / segment, restricted to days where the segment value is
-    positive (a factor of 1 when no such day exists). Overlap days keep
-    the already-merged value; only the new tail is appended, scaled.
-    Raises CoverageError when the merged overlap is zero on every such
-    day: a factor of 0 would zero every later day of the series.
+    positive (a factor of 1, logged as a warning, when no such day
+    exists). Overlap days keep the already-merged value; only the new
+    tail is appended, scaled. Raises CoverageError when the merged
+    overlap is zero on every such day: a factor of 0 would zero every
+    later day of the series.
     """
     if not segments:
         raise NoOverlapError("no segments supplied")
-    ordered = sorted(segments, key=lambda s: (s.start_date, s.values))
-
-    anchor = ordered[0]
-    d0 = anchor.start_date
-    merged: list[float] = list(anchor.values)
+    ordered = _in_start_order(segments)
+    d0 = ordered[0].start_date
+    merged = np.empty((ordered[-1].end_date - d0).days + 1)
+    merged[:SEGMENT_DAYS] = ordered[0].values
+    filled = SEGMENT_DAYS
 
     for seg in ordered[1:]:
-        cur_end = d0 + timedelta(days=len(merged) - 1)
-        if seg.start_date > cur_end:
+        start = (seg.start_date - d0).days
+        if start >= filled:
             raise NoOverlapError(
                 f"segment starting {seg.start_date.isoformat()} does not overlap"
-                f" the merged range ending {cur_end.isoformat()}"
+                f" the merged range ending {(d0 + timedelta(days=filled - 1)).isoformat()}"
             )
-        ratios: list[float] = []
-        for day, value in seg.items():
-            offset = (day - d0).days
-            if offset < len(merged) and value > 0.0:
-                ratios.append(merged[offset] / value)
-        factor = sum(ratios) / len(ratios) if ratios else 1.0
+        head = seg.values[: filled - start]
+        positive = head > 0.0
+        ratios = merged[start:filled][positive] / head[positive]
+        # the builtin sum, not np.sum: np.sum's pairwise order rounds the factor differently
+        factor = sum(ratios.tolist()) / ratios.size if ratios.size else 1.0
+        if not ratios.size:
+            logger.warning(
+                "keyword %r: segment starting %s has no positive overlap day; correction factor 1 used",
+                seg.keyword, seg.start_date.isoformat(),
+            )
         if factor == 0.0:
             raise CoverageError(
                 f"keyword {seg.keyword!r}: segment starting {seg.start_date.isoformat()} is positive"
                 " where the merged overlap is all zero, so its correction factor would be 0"
             )
-        for day, value in seg.items():
-            offset = (day - d0).days
-            if offset >= len(merged):
-                merged.append(value * factor)
+        tail = seg.values[filled - start :] * factor
+        merged[filled : filled + tail.size] = tail
+        filled += tail.size
 
-    peak = max(merged)
+    peak = merged.max()
     if peak > 0.0:
-        merged = [(v / peak) * 100.0 for v in merged]
+        merged = (merged / peak) * 100.0
     return DateIndexedSeries(d0, merged)

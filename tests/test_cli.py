@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,26 @@ class TestPreprocess:
         assert code == 0
         for path in out.glob("*.csv"):
             assert max(read_series_csv(str(path)).values) == 100.0
+
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            ("rescale", "f416650e677d892fcde92ebc72a92dc1d086121421df270d68795cc5121ab688"),
+            ("msv", "c9bf904366c6c92ae45b77f061d11684f52d47390e4d75e0d3d1d13237c55450"),
+        ],
+    )
+    def test_reconstruction_bodies_are_pinned(self, tmp_path, sweep_inputs, method, expected):
+        # SHA-256 of every written file name and body (manifest lines excluded),
+        # recorded before the trends layer moved onto arrays
+        out = tmp_path / "panel"
+        weekly = ["--weekly", sweep_inputs.weekly] if method == "rescale" else []
+        code = run("preprocess", "--segments", sweep_inputs.segments, *weekly, "--method", method, "--outdir", out)
+        assert code == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.glob("*.csv")):
+            body = [line for line in path.read_text(encoding="utf-8").splitlines(True) if not line.startswith("#")]
+            digest.update(f"{path.name}\n{''.join(body)}".encode())
+        assert digest.hexdigest() == expected
 
     def test_missing_weekly_for_rescale_is_usage_error(self, tmp_path, sweep_inputs):
         code = run(

@@ -1,3 +1,4 @@
+import logging
 import random
 from datetime import date, timedelta
 
@@ -27,8 +28,7 @@ def segment(start_offset, values, keyword="cough"):
 
 
 def weekly(values, keyword="cough", start_offset=0):
-    starts = tuple(day(start_offset + 7 * i) for i in range(len(values)))
-    return WeeklySeries(keyword, starts, tuple(float(v) for v in values))
+    return WeeklySeries(keyword, day(start_offset), tuple(float(v) for v in values))
 
 
 class TestTypes:
@@ -40,17 +40,19 @@ class TestTypes:
         with pytest.raises(RangeError):
             segment(0, [1.0] * 29 + [101.0])
 
-    def test_weekly_spacing_check(self):
-        with pytest.raises(ValueError):
-            WeeklySeries("cough", (day(0), day(8)), (1.0, 2.0))
+    def test_weekly_range_check_names_the_value(self):
+        with pytest.raises(RangeError, match="weekly value -1.0 outside"):
+            weekly([10, -1, 20])
 
-    def test_weekly_bucket_lookup(self):
-        w = weekly([10, 20, 30])
-        assert w.week_index_of(day(0)) == 0
-        assert w.week_index_of(day(6)) == 0
-        assert w.week_index_of(day(7)) == 1
-        assert w.week_index_of(day(21)) is None
-        assert w.week_index_of(day(-1)) is None
+    @pytest.mark.parametrize("build", [lambda v: segment(0, v), lambda v: weekly(v)])
+    def test_values_are_read_only_copies(self, build):
+        source = [float(i) for i in range(30)]
+        values = build(source).values
+        assert values.dtype == float and not values.flags.writeable
+        source[0] = 99.0
+        assert values[0] == 0.0
+        with pytest.raises(ValueError):
+            values[0] = 1.0
 
 
 class TestLoadSegments:
@@ -70,7 +72,7 @@ class TestLoadSegments:
         segments = load_segments(self.write(tmp_path, lines))
         assert len(segments) == 2
         assert {s.keyword for s in segments} == {"cough", "fever"}
-        assert segments[0].values == tuple([10.0] * 30)
+        assert segments[0].values.tolist() == [10.0] * 30
 
     def test_29_row_segment_rejected(self, tmp_path):
         lines = self.rows("cough", 0, [10.0] * 29)
@@ -88,6 +90,13 @@ class TestLoadSegments:
         lines[5] = f"cough,{day(0).isoformat()},{day(35).isoformat()},10.0"
         with pytest.raises(ParseError):
             load_segments(self.write(tmp_path, lines))
+
+    def test_duplicate_date_reports_line(self, tmp_path):
+        lines = self.rows("cough", 0, [10.0] * 30)
+        lines[7] = f"cough,{day(0).isoformat()},{day(2).isoformat()},10.0"
+        with pytest.raises(ParseError, match="duplicate date 2020-03-18 within segment") as exc:
+            load_segments(self.write(tmp_path, lines))
+        assert exc.value.line == 9
 
     def test_bad_date_reports_line(self, tmp_path):
         lines = self.rows("cough", 0, [10.0] * 30)
@@ -108,7 +117,7 @@ class TestLoadWeekly:
         )
         out = load_weekly(str(path))
         assert set(out) == {"cough", "fever"}
-        assert out["cough"].values == (50.0, 60.0)
+        assert out["cough"].values.tolist() == [50.0, 60.0]
 
     def test_range_violation(self, tmp_path):
         path = tmp_path / "weekly.csv"
@@ -160,6 +169,10 @@ class TestRescaleDaily:
         with pytest.raises(CoverageError):
             rescale_daily([segment(0, [10.0] * 30)], weekly([50.0] * 3))
 
+    def test_segment_before_reference_start(self):
+        with pytest.raises(CoverageError, match="day 2020-03-15 has no week"):
+            rescale_daily([segment(-1, [10.0] * 30)], weekly([50.0] * 5))
+
     def test_uncovered_day_between_segments(self):
         with pytest.raises(CoverageError):
             rescale_daily(
@@ -178,6 +191,14 @@ class TestRescaleDaily:
         forward = rescale_daily(segments, ref)
         shuffled = rescale_daily(list(reversed(segments)), ref)
         assert forward.values.tolist() == shuffled.values.tolist()
+
+    def test_tied_start_dates_invariant_to_order(self):
+        # three calibrated values per day: their sum rounds differently by order
+        rng = random.Random(3)
+        segments = [segment(0, [rng.uniform(1, 100) for _ in range(30)]) for _ in range(3)]
+        ref = weekly([rng.uniform(10, 100) for _ in range(5)])
+        forward = rescale_daily(segments, ref)
+        assert forward.values.tolist() == rescale_daily(segments[::-1], ref).values.tolist()
 
     def test_output_contiguous_over_covered_range(self):
         segments = [segment(0, [10.0] * 30), segment(15, [20.0] * 30)]
@@ -207,6 +228,22 @@ class TestMsvMerge:
         seg2 = segment(28, [0.0, 0.0] + [20.0] * 28)
         out = msv_merge([seg1, seg2])
         assert out.values[30] / max(out.values) == pytest.approx(20.0 / max(10.0, 20.0))
+
+    def test_factor_one_fallback_is_logged(self, caplog):
+        seg1 = segment(0, [10.0] * 28 + [0.0, 0.0])
+        seg2 = segment(28, [0.0, 0.0] + [20.0] * 28)
+        with caplog.at_level(logging.WARNING, logger="warpwatch.trends"):
+            out = msv_merge([seg1, seg2])
+        assert [r.getMessage() for r in caplog.records] == [
+            "keyword 'cough': segment starting 2020-04-13 has no positive overlap day; correction factor 1 used"
+        ]
+        assert out.values.tolist() == [50.0] * 28 + [0.0, 0.0] + [100.0] * 28
+
+    def test_tied_start_dates_invariant_to_order(self):
+        # the anchor is one of the tied segments; the wrong one gives other values
+        segments = [segment(0, [10.0] * 15 + [40.0] * 15), segment(0, [20.0] * 30), segment(20, [5.0] * 30)]
+        forward = msv_merge(segments)
+        assert forward.values.tolist() == msv_merge(segments[::-1]).values.tolist()
 
     def test_zero_factor_raises_instead_of_zeroing_the_tail(self):
         # the second segment's head (5) meets an all-zero merged overlap, so
