@@ -11,7 +11,7 @@ Kruskal-Wallis significance tests.
 __version__ = "0.1.0"
 
 from .cases import CaseKind, CaseSeries, LineListRecord, active_cases, daily_confirmed, daily_removed, load_linelist
-from .dtw import BandSpec, DtwResult, WarpingPath, accumulated_cost_matrix, backtrack, dtw, local_cost_matrix
+from .dtw import BandSpec, DtwResult, dtw
 from .errors import WarpwatchError
 from .network import (
     KeywordPanel,
@@ -48,11 +48,7 @@ __all__ = [
     "read_series_csv",
     "write_series_csv",
     "BandSpec",
-    "WarpingPath",
     "DtwResult",
-    "local_cost_matrix",
-    "accumulated_cost_matrix",
-    "backtrack",
     "dtw",
     "DailySegment",
     "WeeklySeries",

@@ -2,8 +2,8 @@
 
 The accumulated-cost recursion admits steps from (i-1,j), (i,j-1) and
 (i-1,j-1). A Sakoe-Chiba band of radius r restricts the path to cells
-with |i - j| <= r; cells outside the band hold a +inf sentinel in the
-full N x M matrix and are never selected as predecessors. All floating
+with |i - j| <= r. Only the cells the band admits are stored, one row
+per i, so memory grows with the band, not with N x M. All floating
 comparisons are exact: sums of absolute differences at this scale do
 not need an epsilon.
 """
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import BandInfeasibleError, EmptySeriesError
+from .errors import BandInfeasibleError, NonFiniteValueError
+from .timeseries import read_only_array
 
 
 @dataclass(frozen=True)
@@ -60,104 +59,15 @@ class BandSpec:
 
 
 @dataclass(frozen=True)
-class WarpingPath:
-    """Monotone, continuous alignment as 1-based (i, j) pairs.
-
-    A valid path starts at (1, 1), ends at (N, M), and each step is one
-    of (1,0), (0,1), (1,1).
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-@dataclass(frozen=True)
 class DtwResult:
+    """Optimal distance and its warping path.
+
+    ``path`` holds 1-based (i, j) pairs from (1, 1) to (N, M); each step
+    is one of (1,0), (0,1), (1,1).
+    """
+
     distance: float
-    path: WarpingPath
-    band: BandSpec
-
-
-def local_cost_matrix(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """N x M matrix of absolute differences: entry (i, j) = |x_i - y_j|."""
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    for name, values in (("x", xs), ("y", ys)):
-        if values.size == 0:
-            raise EmptySeriesError(f"{name} is empty")
-    return np.abs(xs[:, None] - ys[None, :])
-
-
-def accumulated_cost_matrix(cost: np.ndarray, band: BandSpec) -> np.ndarray:
-    """Populate the DP matrix over ``cost`` under ``band``.
-
-    Out-of-band cells hold +inf. In-band cells are always reachable when
-    the band admits the terminal cell, so no reachability bookkeeping is
-    needed beyond the sentinel.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    inf = float("inf")
-    cost_rows = cost.tolist()
-    acc: list[list[float]] = [[inf] * m for _ in range(n)]
-    acc[0][0] = cost_rows[0][0]
-    for i in range(n):
-        jlo, jhi = band.column_span(i, m)
-        row = acc[i]
-        crow = cost_rows[i]
-        up = acc[i - 1] if i > 0 else None
-        for j in range(jlo, jhi + 1):
-            if i == 0 and j == 0:
-                continue
-            best = inf
-            if up is not None:
-                if j > 0 and up[j - 1] < best:
-                    best = up[j - 1]
-                if up[j] < best:
-                    best = up[j]
-            if j > 0 and row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = crow[j] + best
-    return np.asarray(acc, dtype=float)
-
-
-def backtrack(accumulated: np.ndarray, band: BandSpec) -> WarpingPath:
-    """Recover the optimal path from (N, M) back to (1, 1).
-
-    Tie-break when several predecessors attain the minimum: diagonal
-    (i-1, j-1) first, then (i-1, j), then (i, j-1). Out-of-band
-    predecessors hold +inf and therefore never win.
-    """
-    acc = np.asarray(accumulated, dtype=float)
-    n, m = acc.shape
-    rows = acc.tolist()
-    i, j = n - 1, m - 1
-    if not band.admits(i, j) or not np.isfinite(rows[i][j]):
-        raise ValueError("malformed accumulated matrix: terminal cell unreachable")
-    pairs: list[tuple[int, int]] = [(n, m)]
-    while i > 0 or j > 0:
-        best = float("inf")
-        step = None
-        if i > 0 and j > 0 and rows[i - 1][j - 1] < best:
-            best = rows[i - 1][j - 1]
-            step = (i - 1, j - 1)
-        if i > 0 and rows[i - 1][j] < best:
-            best = rows[i - 1][j]
-            step = (i - 1, j)
-        if j > 0 and rows[i][j - 1] < best:
-            best = rows[i][j - 1]
-            step = (i, j - 1)
-        if step is None:
-            raise ValueError(f"malformed accumulated matrix: no finite predecessor at ({i}, {j})")
-        i, j = step
-        pairs.append((i + 1, j + 1))
-    pairs.reverse()
-    return WarpingPath(tuple(pairs))
+    path: tuple[tuple[int, int], ...]
 
 
 def dtw(
@@ -167,12 +77,54 @@ def dtw(
 ) -> DtwResult:
     """Optimal banded alignment of ``x`` onto ``y``, both costed as given.
 
-    Raises BandInfeasibleError when the length gap exceeds the band radius.
+    Raises EmptySeriesError or NonFiniteValueError on empty or non-finite
+    input, BandInfeasibleError when the length gap exceeds the band radius.
     """
     if band is None:
         band = BandSpec.unconstrained()
-    cost = local_cost_matrix(x, y)
-    band.check_feasible(*cost.shape)
-    acc = accumulated_cost_matrix(cost, band)
-    path = backtrack(acc, band)
-    return DtwResult(distance=float(acc[-1, -1]), path=path, band=band)
+    xs = read_only_array(x, 1).tolist()
+    ys = read_only_array(y, 1).tolist()
+    n, m = len(xs), len(ys)
+    band.check_feasible(n, m)
+    inf = float("inf")
+    # rows[i + 1][k] is the accumulated cost of cell (i, starts[i + 1] + k).
+    # Row i spans columns column_span(i) plus one +inf pad at each end; the
+    # virtual row -1 holds 0 at column -1, so (0, 0) needs no special case.
+    starts = [-1]
+    rows = [[0.0] + [inf] * m]
+    for i, xi in enumerate(xs):
+        lo, hi = band.column_span(i, m)
+        up = rows[-1]
+        off = lo - 1 - starts[-1]  # up[k + off] is column lo - 1 + k of row i - 1
+        row = [inf] * (hi - lo + 3)
+        left = inf
+        for k, yj in enumerate(ys[lo : hi + 1], 1):
+            best = up[k + off - 1]
+            if up[k + off] < best:
+                best = up[k + off]
+            if left < best:
+                best = left
+            left = row[k] = abs(xi - yj) + best
+        starts.append(lo - 1)
+        rows.append(row)
+    distance = rows[-1][-2]
+    if distance == inf:
+        raise NonFiniteValueError("DTW distance overflows float64")
+
+    # Tie-break when several predecessors attain the minimum: diagonal
+    # (i-1, j-1) first, then (i-1, j), then (i, j-1). The pads, and the
+    # virtual row past column -1, hold +inf and therefore never win.
+    i, j = n - 1, m - 1
+    pairs = [(n, m)]
+    while i > 0 or j > 0:
+        up, row = rows[i], rows[i + 1]
+        u, k = j - starts[i], j - starts[i + 1]
+        step, best = (i - 1, j - 1), up[u - 1]
+        if up[u] < best:
+            step, best = (i - 1, j), up[u]
+        if row[k - 1] < best:
+            step = (i, j - 1)
+        i, j = step
+        pairs.append((i + 1, j + 1))
+    pairs.reverse()
+    return DtwResult(distance=distance, path=tuple(pairs))

@@ -27,7 +27,7 @@ from .network import (
     metric_series_from_matrices,
 )
 from .stats import kruskal_wallis
-from .timeseries import DateIndexedSeries, align_ranges, minmax_normalize
+from .timeseries import DateIndexedSeries, align_ranges, minmax_normalize, sequential_sum
 
 
 class Preprocess(str, Enum):
@@ -232,7 +232,7 @@ def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> Param
             groups[label] = member
     if not groups:
         raise ValueError(f"no successful results to summarize for {parameter!r}")
-    level_means = {label: sum(vals) / len(vals) for label, vals in groups.items()}
+    level_means = {label: sequential_sum(vals) / len(vals) for label, vals in groups.items()}
     if len(groups) < 2:
         # a single-level parameter carries no between-group variation
         h, p = 0.0, 1.0

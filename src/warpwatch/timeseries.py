@@ -48,6 +48,15 @@ def read_only_array(values, ndim: int) -> np.ndarray:
     return array
 
 
+def sequential_sum(values) -> float:
+    """Left-to-right float sum, the same on every Python version.
+
+    The builtin ``sum`` of floats became compensated in CPython 3.12, and
+    ``np.sum`` adds pairwise; either would move artifact bits.
+    """
+    return float(np.add.accumulate(np.asarray(values, dtype=float))[-1])
+
+
 @dataclass(frozen=True, eq=False)
 class DateIndexedSeries:
     """Daily real-valued series; day ``i`` is exactly ``start_date + i`` days.

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, NoOverlapError, ParseError, RangeError
-from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows, read_only_array
+from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows, read_only_array, sequential_sum
 
 SEGMENT_DAYS = 30
 
@@ -227,8 +227,7 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
         head = seg.values[: filled - start]
         positive = head > 0.0
         ratios = merged[start:filled][positive] / head[positive]
-        # the builtin sum, not np.sum: np.sum's pairwise order rounds the factor differently
-        factor = sum(ratios.tolist()) / ratios.size if ratios.size else 1.0
+        factor = sequential_sum(ratios) / ratios.size if ratios.size else 1.0
         if not ratios.size:
             logger.warning(
                 "keyword %r: segment starting %s has no positive overlap day; correction factor 1 used",

@@ -120,7 +120,7 @@ def test_c04_path_validity(fuzz_results):
         for x, y, band, expected, result in outcomes:
             if result is None:
                 continue
-            pairs = result.path.pairs
+            pairs = result.path
             assert pairs[0] == (1, 1)
             assert pairs[-1] == (len(x), len(y))
             for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):

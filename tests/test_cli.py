@@ -32,6 +32,20 @@ def read_manifest(path):
         return json.loads(fh.readline().removeprefix("# manifest: "))
 
 
+def body_digest(paths):
+    """SHA-256 over each file's name and body: CSV manifest lines and the JSON ``manifest`` key left out."""
+    digest = hashlib.sha256()
+    for path in paths:
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            del payload["manifest"]
+            body = json.dumps(payload, sort_keys=True)
+        else:
+            body = "".join(line for line in path.read_text(encoding="utf-8").splitlines(True) if not line.startswith("#"))
+        digest.update(f"{path.name}\n{body}".encode())
+    return digest.hexdigest()
+
+
 class TestSynth:
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -140,6 +154,32 @@ class TestDtw:
         assert code == 2
         assert str(expected.value) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ((), "ba1022c4fa6dedd7d2f3208fada240e2bd57ad6cc9abfe7bdae2b160398addaa"),
+            (("--radius", 20, "--normalize"), "ce18fa1005ef0344270c2f2ce852ff2b263deb0598cc11791149611d72a5914b"),
+        ],
+    )
+    def test_pipeline_alignment_is_pinned(self, tmp_path, sweep_inputs, flags, expected):
+        # confirmed cases (110 days) against a density series (96 days) built from
+        # the fixture inputs; SHA-256 recorded before DTW moved to band-only storage
+        panel, series = tmp_path / "panel", tmp_path / "series"
+        assert run("preprocess", "--segments", sweep_inputs.segments, "--method", "msv", "--outdir", panel) == 0
+        assert run(
+            "metrics", "--panel-dir", panel, "--metric", "density", "--threshold", 0.5,
+            "--window", 15, "--outdir", series,
+        ) == 0
+        assert run(
+            "cases", "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR",
+            "--start", sweep_inputs.start, "--end", sweep_inputs.end, "--outdir", series,
+        ) == 0
+        out = tmp_path / "dtw"
+        assert run(
+            "dtw", "--case", series / "confirmed.csv", "--metric", series / "metric.csv", *flags, "--outdir", out,
+        ) == 0
+        assert body_digest([out / "dtw.json", out / "alignment.csv"]) == expected
+
     def test_disjoint_ranges_exit_2(self, tmp_path):
         a = DateIndexedSeries(MAR16, (1.0, 2.0, 3.0))
         b = DateIndexedSeries(MAR16 + timedelta(days=30), (1.0, 2.0, 3.0))
@@ -190,11 +230,7 @@ class TestPreprocess:
         weekly = ["--weekly", sweep_inputs.weekly] if method == "rescale" else []
         code = run("preprocess", "--segments", sweep_inputs.segments, *weekly, "--method", method, "--outdir", out)
         assert code == 0
-        digest = hashlib.sha256()
-        for path in sorted(out.glob("*.csv")):
-            body = [line for line in path.read_text(encoding="utf-8").splitlines(True) if not line.startswith("#")]
-            digest.update(f"{path.name}\n{''.join(body)}".encode())
-        assert digest.hexdigest() == expected
+        assert body_digest(sorted(out.glob("*.csv"))) == expected
 
     def test_missing_weekly_for_rescale_is_usage_error(self, tmp_path, sweep_inputs):
         code = run(
@@ -382,6 +418,17 @@ class TestSweep:
         }
         optimal = read_rows(out / "optimal_configs.csv")
         assert len(optimal) - 1 == 4
+
+    def test_full_sweep_artifacts_are_pinned(self, tmp_path, sweep_inputs):
+        # all 320 configurations on the fixture inputs; SHA-256 recorded before
+        # DTW moved to band-only storage
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--segments", sweep_inputs.segments, "--weekly", sweep_inputs.weekly,
+            "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR", "--outdir", out,
+        ) == 0
+        names = ("sweep.csv", "optimal_configs.csv", "parameter_report.json")
+        assert body_digest([out / name for name in names]) == "e55127c7483a6f695a02c9f93ee61b31903315b7c57b753b39b43500baf86c5d"
 
     def test_unknown_config_key_rejected(self, tmp_path, sweep_inputs):
         config = tmp_path / "config.json"

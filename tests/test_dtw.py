@@ -1,17 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpwatch.dtw import (
-    BandSpec,
-    WarpingPath,
-    accumulated_cost_matrix,
-    backtrack,
-    dtw,
-    local_cost_matrix,
-)
-from warpwatch.errors import BandInfeasibleError, EmptySeriesError
+from warpwatch.dtw import BandSpec, dtw
+from warpwatch.errors import BandInfeasibleError, EmptySeriesError, NonFiniteValueError
 from warpwatch.testkit import brute_force_dtw
 
 UNBOUNDED = BandSpec.unconstrained()
@@ -21,8 +13,7 @@ small_series = st.lists(
 )
 
 
-def path_is_valid(path: WarpingPath, n: int, m: int, band: BandSpec) -> bool:
-    pairs = path.pairs
+def path_is_valid(pairs, n: int, m: int, band: BandSpec) -> bool:
     if pairs[0] != (1, 1) or pairs[-1] != (n, m):
         return False
     for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
@@ -31,28 +22,11 @@ def path_is_valid(path: WarpingPath, n: int, m: int, band: BandSpec) -> bool:
     return all(band.admits(i, j) for i, j in pairs)
 
 
-def resummed_cost(path: WarpingPath, x, y) -> float:
+def resummed_cost(path, x, y) -> float:
     total = 0.0
     for i, j in path:
         total += abs(x[i - 1] - y[j - 1])
     return total
-
-
-class TestLocalCostMatrix:
-    def test_direct_differences(self):
-        np.testing.assert_array_equal(local_cost_matrix((0, 1), (1, 0)), [[1, 0], [0, 1]])
-
-    def test_identity(self):
-        np.testing.assert_array_equal(local_cost_matrix((7,), (7,)), [[0.0]])
-
-    def test_rectangular(self):
-        np.testing.assert_array_equal(
-            local_cost_matrix((0, 3, 1), (2, 0)), [[2, 0], [1, 3], [1, 1]]
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySeriesError):
-            local_cost_matrix((), (1, 2))
 
 
 class TestBandSpec:
@@ -71,12 +45,12 @@ class TestDtw:
     def test_identical_series(self, band):
         result = dtw((1, 2, 3), (1, 2, 3), band)
         assert result.distance == 0.0
-        assert result.path.pairs == ((1, 1), (2, 2), (3, 3))
+        assert result.path == ((1, 1), (2, 2), (3, 3))
 
     def test_radius_zero_is_elementwise_l1(self):
         result = dtw((1, 2, 3), (2, 2, 2), BandSpec.sakoe_chiba(0))
         assert result.distance == 2.0
-        assert result.path.pairs == ((1, 1), (2, 2), (3, 3))
+        assert result.path == ((1, 1), (2, 2), (3, 3))
 
     def test_enumeration_oracle_case(self):
         # minimum over all valid paths on the 3x2 grid, computed by the
@@ -100,35 +74,31 @@ class TestDtw:
         result = dtw((0.0, 1.0), (10.0, 20.0), UNBOUNDED)
         assert result.distance == pytest.approx(29.0)
 
-
-class TestBacktrack:
     def test_single_cell(self):
-        path = backtrack(np.array([[0.7]]), UNBOUNDED)
-        assert path.pairs == ((1, 1),)
+        result = dtw((0.75,), (0.25,))
+        assert result.distance == 0.5
+        assert result.path == ((1, 1),)
 
-    def test_pure_diagonal_for_identical_series(self):
-        cost = local_cost_matrix((1, 2, 3), (1, 2, 3))
-        acc = accumulated_cost_matrix(cost, UNBOUNDED)
-        assert backtrack(acc, UNBOUNDED).pairs == ((1, 1), (2, 2), (3, 3))
+    def test_tie_break_on_unequal_lengths(self):
+        # all-zero costs: every predecessor ties, so the diagonal wins wherever
+        # it exists; the first row can only step left
+        assert dtw((5, 5, 5), (5, 5, 5, 5)).path == ((1, 1), (1, 2), (2, 3), (3, 4))
 
-    def test_recovers_oracle_cost(self):
-        x, y = (0, 3, 1), (2, 0)
-        acc = accumulated_cost_matrix(local_cost_matrix(x, y), UNBOUNDED)
-        path = backtrack(acc, UNBOUNDED)
-        assert resummed_cost(path, x, y) == pytest.approx(4.0, abs=1e-9)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_input_rejected(self, value, side):
+        bad, good = [1.0, value, 2.0], [1.0, 1.0, 1.0]
+        x, y = (bad, good) if side == "x" else (good, bad)
+        with pytest.raises(NonFiniteValueError, match=repr(value)):
+            dtw(x, y, BandSpec.sakoe_chiba(1))
 
-    def test_malformed_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            backtrack(np.full((2, 2), np.inf), UNBOUNDED)
-
-    def test_diagonal_tie_break(self):
-        # all-zero costs: every predecessor ties, diagonal must win
-        acc = accumulated_cost_matrix(np.zeros((3, 3)), UNBOUNDED)
-        assert backtrack(acc, UNBOUNDED).pairs == ((1, 1), (2, 2), (3, 3))
+    def test_overflowing_distance_rejected(self):
+        with pytest.raises(NonFiniteValueError, match="overflows"):
+            dtw((1e308,), (-1e308,))
 
 
 class TestProperties:
-    @given(small_series, small_series, st.sampled_from([None, 0, 1, 2]))
+    @given(small_series, small_series, st.sampled_from([None, 0, 1, 2, 4, 8]))
     @settings(max_examples=300, deadline=None)
     def test_matches_enumeration_oracle(self, x, y, radius):
         band = UNBOUNDED if radius is None else BandSpec.sakoe_chiba(radius)
@@ -153,7 +123,7 @@ class TestProperties:
     def test_identity(self, x):
         result = dtw(x, x, UNBOUNDED)
         assert result.distance == 0.0
-        assert result.path.pairs == tuple((i, i) for i in range(1, len(x) + 1))
+        assert result.path == tuple((i, i) for i in range(1, len(x) + 1))
 
     @given(small_series, small_series)
     @settings(max_examples=150, deadline=None)
@@ -170,5 +140,5 @@ class TestProperties:
     def test_deterministic_path(self, x, y):
         first = dtw(x, y, UNBOUNDED)
         second = dtw(x, y, UNBOUNDED)
-        assert first.path.pairs == second.path.pairs
+        assert first.path == second.path
         assert first.distance == second.distance

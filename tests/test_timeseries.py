@@ -19,6 +19,7 @@ from warpwatch.timeseries import (
     align_ranges,
     minmax_normalize,
     read_series_csv,
+    sequential_sum,
     validate_contiguous,
     write_series_csv,
 )
@@ -194,6 +195,20 @@ class TestAlignRanges:
         b4, a4 = align_ranges(b, a)
         assert (a2, b2) == (a4, b4)
         assert align_ranges(a2, b2) == (a2, b2)
+
+
+class TestSequentialSum:
+    def test_does_not_compensate(self):
+        # CPython 3.12's builtin sum gives 1.0 here
+        assert sequential_sum([0.1] * 10) == 0.9999999999999999
+
+    @given(finite_values)
+    def test_equals_a_left_to_right_loop(self, values):
+        total = 0.0
+        for v in values:
+            total += v
+        assert sequential_sum(values) == total
+        assert sequential_sum(np.array(values)) == total
 
 
 class TestCsvRoundTrip:
