@@ -18,7 +18,6 @@ from .network import (
     MetricKind,
     NetworkMetricSeries,
     clustering_coefficient,
-    correlation_matrix_at,
     distance_correlation,
     metric_series,
     network_density,
@@ -60,7 +59,6 @@ __all__ = [
     "NetworkMetricSeries",
     "MetricKind",
     "distance_correlation",
-    "correlation_matrix_at",
     "threshold_graph",
     "network_density",
     "clustering_coefficient",

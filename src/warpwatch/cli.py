@@ -32,7 +32,6 @@ from .sweep import (
     PARAMETER_NAMES,
     WINDOWS,
     Preprocess,
-    SweepResult,
     enumerate_configs,
     level_label,
     optimal_configs,
@@ -47,6 +46,7 @@ from .timeseries import (
     minmax_normalize,
     parse_iso_date,
     read_series_csv,
+    write_csv,
     write_series_csv,
 )
 from .trends import load_segments, load_weekly, msv_merge, rescale_daily
@@ -247,22 +247,29 @@ def _cmd_dtw(args) -> int:
         },
     )
 
-    with open(out / "alignment.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {manifest.preamble()}\n")
-        fh.write("case_index,metric_index,case_date,metric_date,normalized_case,metric_value\n")
-        for i, j in result.path:
-            case_day = case.start_date + timedelta(days=i - 1)
-            metric_day = metric.start_date + timedelta(days=j - 1)
-            fh.write(
-                f"{i},{j},{case_day.isoformat()},{metric_day.isoformat()},"
-                f"{format_value(x.values[i - 1])},{format_value(metric.values[j - 1])}\n"
-            )
+    write_csv(
+        out / "alignment.csv",
+        ["case_index", "metric_index", "case_date", "metric_date", "normalized_case", "metric_value"],
+        (
+            [
+                i,
+                j,
+                (case.start_date + timedelta(days=i - 1)).isoformat(),
+                (metric.start_date + timedelta(days=j - 1)).isoformat(),
+                format_value(x.values[i - 1]),
+                format_value(metric.values[j - 1]),
+            ]
+            for i, j in result.path
+        ),
+        manifest.preamble(),
+    )
     print(f"distance {format_value(result.distance)} over {len(result.path)} path steps")
     return 0
 
 
 def _load_sweep_domains(path: str | None) -> dict:
-    """The lattice's levels per parameter, narrowed by a JSON config of level labels."""
+    """The lattice's levels per parameter, narrowed by a JSON config of level
+    labels; narrowed levels keep lattice order and may not repeat."""
     domains = {name: list(levels) for name, levels in DOMAINS.items()}
     if path is None:
         return domains
@@ -283,46 +290,11 @@ def _load_sweep_domains(path: str | None) -> dict:
         for v in values:
             if not isinstance(v, (str, int, float)) or v not in canon:
                 raise ParseError(f"sweep parameter {key!r} does not admit {v!r}")
+            if canon[v] in picked:
+                raise ParseError(f"sweep parameter {key!r} repeats level {v!r}")
             picked.append(canon[v])
-        domains[key] = picked
+        domains[key] = [level for level in DOMAINS[key] if level in picked]
     return domains
-
-
-def _sweep_rows_csv(path: Path, results: Sequence[SweepResult], preamble: str) -> None:
-    import csv as _csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {preamble}\n")
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["metric", "preprocess", "threshold", "window", "case_type", "radius", "dtw_score", "status"]
-        )
-        for r in results:
-            c = r.config
-            writer.writerow(
-                [
-                    c.metric.value,
-                    c.preprocess.value,
-                    format_value(c.threshold),
-                    c.window,
-                    c.case_type.value,
-                    c.radius,
-                    "" if r.dtw_score is None else format_value(r.dtw_score),
-                    r.status,
-                ]
-            )
-
-
-def _optimal_csv(path: Path, rows: Sequence[SweepResult], preamble: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {preamble}\n")
-        fh.write("metric,case_type,preprocess,threshold,window,radius,dtw_score\n")
-        for r in rows:
-            c = r.config
-            fh.write(
-                f"{c.metric.value},{c.case_type.value},{c.preprocess.value},"
-                f"{format_value(c.threshold)},{c.window},{c.radius},{format_value(r.dtw_score)}\n"
-            )
 
 
 def _cmd_sweep(args) -> int:
@@ -343,8 +315,7 @@ def _cmd_sweep(args) -> int:
 
     _, case_series = _derive_cases(args.linelist, args.region, args.province, start, end)
 
-    configs = enumerate_configs(*(domains[name] for name in PARAMETER_NAMES))
-    results = run_sweep(panels, case_series, configs)
+    results = run_sweep(panels, case_series, enumerate_configs(domains))
 
     input_paths = [args.segments, args.linelist] + ([args.weekly] if args.weekly else [])
     manifest = _manifest(
@@ -356,7 +327,16 @@ def _cmd_sweep(args) -> int:
     )
 
     out = _outdir(args)
-    _sweep_rows_csv(out / "sweep.csv", results, manifest.preamble())
+    write_csv(
+        out / "sweep.csv",
+        [*PARAMETER_NAMES, "dtw_score", "status"],
+        (
+            [*map(r.config.level, PARAMETER_NAMES)]
+            + ["" if r.dtw_score is None else format_value(r.dtw_score), r.status]
+            for r in results
+        ),
+        manifest.preamble(),
+    )
 
     succeeded = [r for r in results if r.ok]
     if not succeeded:
@@ -379,7 +359,16 @@ def _cmd_sweep(args) -> int:
             },
         },
     )
-    _optimal_csv(out / "optimal_configs.csv", optimal_configs(results), manifest.preamble())
+    optimal_columns = ("metric", "case_type", "preprocess", "threshold", "window", "radius")
+    write_csv(
+        out / "optimal_configs.csv",
+        [*optimal_columns, "dtw_score"],
+        (
+            [*map(r.config.level, optimal_columns), format_value(r.dtw_score)]
+            for r in optimal_configs(results)
+        ),
+        manifest.preamble(),
+    )
     print(
         f"swept {len(results)} configurations ({len(succeeded)} scored); artifacts in {out}"
     )

@@ -127,28 +127,6 @@ def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     return float(min(1.0, max(0.0, r)))
 
 
-def correlation_matrix_at(panel: KeywordPanel, t: date, window: int) -> np.ndarray:
-    """Symmetric N x N distance-correlation matrix over [t - window + 1, t].
-
-    The retrospective window includes day t itself. Diagonal entries are 1.
-    """
-    end = (t - panel.start_date).days
-    if end < window - 1 or end >= len(panel):
-        raise InsufficientHistoryError(
-            f"day {t.isoformat()} needs {window} days of history inside the panel"
-        )
-    lo = end - window + 1
-    windows = panel.values[:, lo : end + 1]
-    n = panel.n_keywords
-    matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = distance_correlation(windows[i], windows[j])
-            matrix[i, j] = r
-            matrix[j, i] = r
-    return matrix
-
-
 def threshold_graph(matrices: np.ndarray, theta: float) -> np.ndarray:
     """Boolean adjacency of a ``(..., N, N)`` stack of correlation matrices.
 
@@ -189,7 +167,8 @@ def clustering_coefficient(adjacency: np.ndarray) -> np.ndarray:
 
 def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
     """Read-only ``(days, N, N)`` stack of per-day correlation matrices from
-    day (window - 1) onward.
+    day (window - 1) onward; day t's matrix covers [t - window + 1, t],
+    day t included, and is symmetric with ones on the diagonal.
 
     This is the expensive intermediate; the sweep reuses one sequence
     across every threshold and metric choice.
@@ -198,14 +177,16 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
         raise InsufficientHistoryError(
             f"panel of {len(panel)} days cannot support a {window}-day window"
         )
-    start = panel.start_date
-    return read_only_array(
-        [
-            correlation_matrix_at(panel, start + timedelta(days=offset), window)
-            for offset in range(window - 1, len(panel))
-        ],
-        3,
-    )
+    n = panel.n_keywords
+    # matrix d covers panel offsets [d, d + window); diagonal entries are 1
+    matrices = np.tile(np.eye(n), (len(panel) - window + 1, 1, 1))
+    for day, matrix in enumerate(matrices):
+        windows = panel.values[:, day : day + window]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i, j] = matrix[j, i] = distance_correlation(windows[i], windows[j])
+    matrices.flags.writeable = False
+    return matrices
 
 
 def metric_series_from_matrices(

@@ -9,6 +9,7 @@ of aborting the sweep, and are excluded from the statistics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from datetime import timedelta
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cases import CaseKind
 from .dtw import BandSpec, dtw
-from .errors import WarpwatchError
+from .errors import DegenerateGroupsError, WarpwatchError
 from .network import (
     KeywordPanel,
     MetricKind,
@@ -102,21 +103,16 @@ class ParameterReport:
     significant: bool
 
 
-def enumerate_configs(
-    metrics: Sequence[MetricKind] = METRICS,
-    preprocesses: Sequence[Preprocess] = PREPROCESSES,
-    thresholds: Sequence[float] = THRESHOLDS,
-    windows: Sequence[int] = WINDOWS,
-    case_types: Sequence[CaseKind] = CASE_TYPES,
-    radii: Sequence[int] = RADII,
-) -> list[SweepConfig]:
-    """Cartesian product in lexicographic order over the declared domains."""
+def enumerate_configs(domains: Mapping[str, Sequence] = DOMAINS) -> list[SweepConfig]:
+    """Cartesian product, in lattice order, of ``domains`` (parameter -> levels)."""
     return [
         SweepConfig(*combo)
-        for combo in itertools.product(
-            metrics, preprocesses, thresholds, windows, case_types, radii
-        )
+        for combo in itertools.product(*(domains[name] for name in PARAMETER_NAMES))
     ]
+
+
+class _MissingInput(WarpwatchError):
+    """A case series or panel the sweep was not given; the message alone is the status."""
 
 
 def run_sweep(
@@ -128,65 +124,51 @@ def run_sweep(
     normalize the case series, align date ranges, then run banded DTW
     with the case series as the warped axis.
 
-    Correlation matrices are computed once per (preprocess, window) and
-    shared across thresholds and metrics. Configurations are scored one
-    after another, in the order of ``configs``: the DTW fill is pure
-    Python, so threads would only contend for the interpreter lock.
+    Three memoised stages feed the configurations, each computed on
+    first use and shared by every configuration that needs it: the
+    normalized case series per case type, the correlation-matrix stack
+    per (preprocess, window), and the metric series per (metric,
+    preprocess, threshold, window). A ``WarpwatchError`` from any stage,
+    or from alignment and DTW, becomes that configuration's status; the
+    case stage runs first, so its error wins over the metric's. A failed
+    stage is not memoised: it is retried, and fails again before any
+    heavy work, for each configuration that needs it.
+
+    Configurations are scored one after another, in the order of
+    ``configs``: the DTW fill is pure Python, so threads would only
+    contend for the interpreter lock.
     """
     cfgs = list(configs) if configs is not None else enumerate_configs()
 
-    norm_cases: dict[CaseKind, DateIndexedSeries] = {}
-    case_errors: dict[CaseKind, str] = {}
-    for case_type in {c.case_type for c in cfgs}:
-        try:
-            norm_cases[case_type] = minmax_normalize(case_series[case_type])
-        except KeyError:
-            case_errors[case_type] = f"missing case series: {case_type.value}"
-        except WarpwatchError as exc:
-            case_errors[case_type] = f"{type(exc).__name__}: {exc}"
+    @functools.cache
+    def normalized_case(case_type: CaseKind) -> DateIndexedSeries:
+        if case_type not in case_series:
+            raise _MissingInput(f"missing case series: {case_type.value}")
+        return minmax_normalize(case_series[case_type])
 
-    matrix_cache: dict[tuple[Preprocess, int], tuple[np.ndarray, KeywordPanel]] = {}
-    matrix_errors: dict[tuple[Preprocess, int], str] = {}
-    for key in sorted({(c.preprocess, c.window) for c in cfgs}, key=lambda k: (k[0].value, k[1])):
-        preprocess, window = key
-        try:
-            panel = panels[preprocess]
-            matrix_cache[key] = (correlation_matrix_sequence(panel, window), panel)
-        except KeyError:
-            matrix_errors[key] = f"missing panel: {preprocess.value}"
-        except WarpwatchError as exc:
-            matrix_errors[key] = f"{type(exc).__name__}: {exc}"
+    @functools.cache
+    def correlations(preprocess: Preprocess, window: int) -> np.ndarray:
+        if preprocess not in panels:
+            raise _MissingInput(f"missing panel: {preprocess.value}")
+        return correlation_matrix_sequence(panels[preprocess], window)
 
-    metric_cache: dict[tuple[Preprocess, float, int, MetricKind], DateIndexedSeries] = {}
-    metric_errors: dict[tuple[Preprocess, float, int, MetricKind], str] = {}
-    for cfg in cfgs:
-        mkey = (cfg.preprocess, cfg.threshold, cfg.window, cfg.metric)
-        if mkey in metric_cache or mkey in metric_errors:
-            continue
-        ckey = (cfg.preprocess, cfg.window)
-        if ckey in matrix_errors:
-            metric_errors[mkey] = matrix_errors[ckey]
-            continue
-        matrices, panel = matrix_cache[ckey]
-        try:
-            first = panel.start_date + timedelta(days=cfg.window - 1)
-            metric_cache[mkey] = metric_series_from_matrices(
-                matrices, first, cfg.metric, cfg.threshold
-            ).series
-        except WarpwatchError as exc:
-            metric_errors[mkey] = f"{type(exc).__name__}: {exc}"
+    @functools.cache
+    def metric_values(
+        metric: MetricKind, preprocess: Preprocess, threshold: float, window: int
+    ) -> DateIndexedSeries:
+        matrices = correlations(preprocess, window)
+        first = panels[preprocess].start_date + timedelta(days=window - 1)
+        return metric_series_from_matrices(matrices, first, metric, threshold).series
 
     def evaluate(cfg: SweepConfig) -> SweepResult:
-        if cfg.case_type in case_errors:
-            return SweepResult(cfg, None, case_errors[cfg.case_type])
-        mkey = (cfg.preprocess, cfg.threshold, cfg.window, cfg.metric)
-        if mkey in metric_errors:
-            return SweepResult(cfg, None, metric_errors[mkey])
         try:
-            case, metric = align_ranges(norm_cases[cfg.case_type], metric_cache[mkey])
+            case = normalized_case(cfg.case_type)
+            metric = metric_values(cfg.metric, cfg.preprocess, cfg.threshold, cfg.window)
+            case, metric = align_ranges(case, metric)
             result = dtw(case.values, metric.values, BandSpec.sakoe_chiba(cfg.radius))
         except WarpwatchError as exc:
-            return SweepResult(cfg, None, f"{type(exc).__name__}: {exc}")
+            status = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
+            return SweepResult(cfg, None, status)
         return SweepResult(cfg, result.distance, "ok")
 
     return [evaluate(cfg) for cfg in cfgs]
@@ -237,7 +219,10 @@ def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> Param
         # a single-level parameter carries no between-group variation
         h, p = 0.0, 1.0
     else:
-        h, p = kruskal_wallis(list(groups.values()))
+        try:
+            h, p = kruskal_wallis(list(groups.values()))
+        except DegenerateGroupsError as exc:
+            raise DegenerateGroupsError(f"{parameter}: {exc}") from exc
     return ParameterReport(
         parameter=parameter,
         level_means=level_means,

@@ -9,9 +9,10 @@ time zones) and render as ISO-8601 at the I/O boundary.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -225,11 +226,23 @@ def format_value(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def write_series_csv(series: DateIndexedSeries, path: str, preamble: str | None = None) -> None:
-    """Write a series as ``date,value`` rows; optional ``#`` comment line first."""
+def write_csv(
+    path: str | os.PathLike,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    preamble: str | None = None,
+) -> None:
+    """Write ``header`` then ``rows`` as LF-terminated CSV; optional ``#`` comment line first."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if preamble is not None:
             fh.write(f"# {preamble}\n")
-        fh.write("date,value\n")
-        for d, v in series.items():
-            fh.write(f"{d.isoformat()},{format_value(v)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series_csv(series: DateIndexedSeries, path: str, preamble: str | None = None) -> None:
+    """Write a series as ``date,value`` rows; optional ``#`` comment line first."""
+    write_csv(
+        path, CSV_HEADER, ((d.isoformat(), format_value(v)) for d, v in series.items()), preamble
+    )

@@ -394,6 +394,35 @@ class TestSweep:
         assert f"does not admit {label!r}" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_repeated_level_exits_2(self, tmp_path, sweep_inputs, capsys):
+        assert self.sweep(tmp_path, sweep_inputs, {"radius": [7, 7]}) == 2
+        assert "sweep parameter 'radius' repeats level 7" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_levels_run_in_lattice_order(self, tmp_path, sweep_inputs):
+        names = ("sweep.csv", "optimal_configs.csv", "parameter_report.json")
+        runs = []
+        for radii in ([50, 7], [7, 50]):
+            out = tmp_path / "-".join(map(str, radii))
+            out.mkdir()
+            config = {"threshold": [0.5], "window": [15], "radius": radii}
+            assert self.sweep(out, sweep_inputs, config) == 0
+            sweep_dir = out / "sweep"
+            runs.append(
+                (
+                    body_digest([sweep_dir / name for name in names]),
+                    read_manifest(sweep_dir / "sweep.csv")["parameters"]["domains"]["radius"],
+                    [row[5] for row in read_rows(sweep_dir / "sweep.csv")[1:3]],
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1:] == ([7, 50], ["7", "50"])
+
+    def test_too_few_scores_name_the_parameter(self, tmp_path, sweep_inputs, capsys):
+        config = {name: [labels[0]] for name, labels in LEVEL_LABELS.items()}
+        assert self.sweep(tmp_path, sweep_inputs, {**config, "radius": [50, 7]}) == 2
+        assert "error: radius: need at least 3 values overall, got 2" in capsys.readouterr().err
+
     def test_restricted_sweep_artifacts(self, tmp_path, sweep_inputs):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7, 50]}))

@@ -17,7 +17,6 @@ from warpwatch.network import (
     KeywordPanel,
     MetricKind,
     clustering_coefficient,
-    correlation_matrix_at,
     correlation_matrix_sequence,
     distance_correlation,
     metric_series,
@@ -110,25 +109,27 @@ class TestDistanceCorrelation:
 
 
 class TestCorrelationMatrixAt:
+    """One day's matrix, read from the per-day stack."""
+
     def test_first_computable_day(self):
         p = panel_of([range(20), [v * 2 for v in range(20)]])
-        m = correlation_matrix_at(p, START + timedelta(days=14), window=15)
+        m = correlation_matrix_sequence(p, window=15)[0]
         assert m.shape == (2, 2)
         assert m[0, 0] == m[1, 1] == 1.0
 
     def test_insufficient_history(self):
         p = panel_of([range(20), range(20, 40)])
         with pytest.raises(InsufficientHistoryError):
-            correlation_matrix_at(p, START, window=15)
+            correlation_matrix_sequence(p, window=21)
 
     def test_identical_keywords_fully_correlated(self):
         p = panel_of([range(15), range(15)])
-        m = correlation_matrix_at(p, START + timedelta(days=14), window=15)
+        m = correlation_matrix_sequence(p, window=15)[0]
         assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self):
         p = panel_of([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]])
-        m = correlation_matrix_at(p, START + timedelta(days=7), window=8)
+        m = correlation_matrix_sequence(p, window=8)[0]
         np.testing.assert_array_equal(m, m.T)
 
 
@@ -250,9 +251,11 @@ class TestMetricSeries:
         p = panel_of([range(20), [v % 7 for v in range(20)], [v * v for v in range(20)]])
         matrices = correlation_matrix_sequence(p, 15)
         assert matrices.shape == (6, 3, 3) and matrices.dtype == np.float64
-        np.testing.assert_array_equal(
-            matrices[-1], correlation_matrix_at(p, START + timedelta(days=19), 15)
-        )
+        last = p.values[:, -15:]
+        expected = np.eye(3)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            expected[i, j] = expected[j, i] = distance_correlation(last[i], last[j])
+        np.testing.assert_array_equal(matrices[-1], expected)
         with pytest.raises(ValueError):
             matrices[0, 0, 1] = 0.0
 

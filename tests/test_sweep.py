@@ -3,10 +3,13 @@ from datetime import date
 
 import pytest
 
+from warpwatch import sweep
 from warpwatch.cases import CaseKind
+from warpwatch.errors import DegenerateGroupsError
 from warpwatch.network import KeywordPanel, MetricKind
 from warpwatch.sweep import (
     CASE_TYPES,
+    DOMAINS,
     METRICS,
     PARAMETER_NAMES,
     Preprocess,
@@ -76,14 +79,16 @@ class TestEnumerateConfigs:
         assert keys == sorted(keys)
 
     def test_restricted_domains(self):
-        configs = enumerate_configs(thresholds=(0.5,), radii=(7, 50))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "radius": (7, 50)})
         assert len(configs) == 2 * 2 * 1 * 2 * 2 * 2
 
 
 @pytest.fixture(scope="module")
 def small_results():
     panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-    configs = enumerate_configs(thresholds=(0.5,), windows=(15,), radii=(7, 15, 20, 30, 50))
+    configs = enumerate_configs(
+        {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 15, 20, 30, 50)}
+    )
     return configs, run_sweep(panels, make_cases(), configs)
 
 
@@ -135,7 +140,7 @@ class TestRunSweep:
         panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
         cases = make_cases()
         cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
-        configs = enumerate_configs(thresholds=(0.5,), windows=(15,), radii=(7,))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
         results = run_sweep(panels, cases, configs)
         for r in results:
             if r.config.case_type is CaseKind.ACTIVE:
@@ -144,9 +149,71 @@ class TestRunSweep:
             else:
                 assert r.ok
 
+    def test_stages_are_shared_across_the_full_lattice(self, monkeypatch):
+        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
+        calls = {"corr": [], "metric": [], "dtw": 0}
+
+        def counting_corr(panel, window, _inner=sweep.correlation_matrix_sequence):
+            calls["corr"].append((id(panel), window))
+            return _inner(panel, window)
+
+        def counting_metric(stack, first, kind, theta, _inner=sweep.metric_series_from_matrices):
+            calls["metric"].append((id(stack), kind, theta))
+            return _inner(stack, first, kind, theta)
+
+        def counting_dtw(x, y, band, _inner=sweep.dtw):
+            calls["dtw"] += 1
+            return _inner(x, y, band)
+
+        monkeypatch.setattr(sweep, "correlation_matrix_sequence", counting_corr)
+        monkeypatch.setattr(sweep, "metric_series_from_matrices", counting_metric)
+        monkeypatch.setattr(sweep, "dtw", counting_dtw)
+        results = run_sweep(panels, make_cases())
+        assert len(results) == 320 and all(r.ok for r in results)
+        # once per (preprocess, window) and once per (metric, preprocess, threshold, window)
+        assert sorted(calls["corr"]) == sorted(
+            {(id(panels[p]), w) for p in Preprocess for w in (15, 30)}
+        )
+        assert len(calls["metric"]) == len(set(calls["metric"])) == 32
+        assert calls["dtw"] == 320
+
+    def test_case_error_wins_over_missing_panel(self):
+        panels = {Preprocess.RESCALE: make_panel(seed=1)}
+        cases = make_cases()
+        cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
+        for r in run_sweep(panels, cases, configs):
+            if r.config.case_type is CaseKind.ACTIVE:
+                assert r.status.startswith("DegenerateRangeError: constant series")
+            elif r.config.preprocess is Preprocess.MSV:
+                assert r.status == "missing panel: msv"
+            else:
+                assert r.ok
+
+    def test_missing_case_series_status(self):
+        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
+        cases = {CaseKind.CONFIRMED: make_cases()[CaseKind.CONFIRMED]}
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
+        for r in run_sweep(panels, cases, configs):
+            expected = "missing case series: active" if r.config.case_type is CaseKind.ACTIVE else "ok"
+            assert r.status == expected
+
+    def test_panel_too_short_for_window_30(self):
+        panels = {
+            Preprocess.RESCALE: make_panel(length=25, seed=1),
+            Preprocess.MSV: make_panel(length=25, seed=2),
+        }
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "radius": (7,)})
+        results = run_sweep(panels, make_cases(length=25), configs)
+        statuses = {r.status for r in results if r.config.window == 30}
+        assert statuses == {
+            "InsufficientHistoryError: panel of 25 days cannot support a 30-day window"
+        }
+        assert all(r.ok for r in results if r.config.window == 15)
+
     def test_missing_panel_isolated(self):
         panels = {Preprocess.RESCALE: make_panel(seed=1)}
-        configs = enumerate_configs(thresholds=(0.5,), windows=(15,), radii=(7,))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
         results = run_sweep(panels, make_cases(), configs)
         for r in results:
             assert r.ok == (r.config.preprocess is Preprocess.RESCALE)
@@ -161,7 +228,7 @@ class TestOptimalConfigs:
         ]
 
     def test_group_minimum_wins(self):
-        configs = enumerate_configs(thresholds=(0.5,), windows=(15,), radii=(7, 50))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)})
         scores = {c: 100.0 for c in configs}
         winner = configs[5]
         scores[winner] = 1.0
@@ -182,7 +249,7 @@ class TestOptimalConfigs:
             assert row.config == min(same_group, key=lambda c: c.sort_key())
 
     def test_error_entries_skipped(self):
-        configs = enumerate_configs(thresholds=(0.5,), windows=(15,), radii=(7, 50))
+        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)})
         results = []
         for i, c in enumerate(configs):
             if c.radius == 7:
@@ -218,6 +285,14 @@ class TestSummaries:
         for report in reports:
             assert report.h_statistic >= 0.0
             assert 0.0 <= report.p_value <= 1.0
+
+    def test_too_few_scores_name_the_parameter(self):
+        configs = enumerate_configs(
+            {**DOMAINS, **{name: DOMAINS[name][:1] for name in PARAMETER_NAMES}, "radius": (7, 50)}
+        )
+        results = [result_for(c, float(c.radius)) for c in configs]
+        with pytest.raises(DegenerateGroupsError, match="^radius: need at least 3 values"):
+            summarize_parameter(results, "radius")
 
     def test_unknown_parameter_rejected(self):
         results = [result_for(enumerate_configs()[0], 1.0)]
