@@ -92,6 +92,21 @@ class NetworkMetricSeries:
             raise ValueError(f"metric value {float(values[outside][0])} outside [0, 1]")
 
 
+def _centered(values: np.ndarray) -> np.ndarray:
+    """Double-centred ``(..., w, w)`` distance matrices of a ``(..., w)`` stack of windows."""
+    d = np.abs(values[..., :, None] - values[..., None, :])
+    col_mean, row_mean = d.mean(axis=-2)[..., None, :], d.mean(axis=-1)[..., :, None]
+    return d - col_mean - row_mean + d.mean(axis=(-2, -1))[..., None, None]
+
+
+def _dcor_ratio(dcov2: float, dvarx2: float, dvary2: float) -> float:
+    """The clamped dCor ratio, with ``distance_correlation``'s zero-variance rule."""
+    if dvarx2 <= 0.0 or dvary2 <= 0.0:
+        return 0.0
+    r = np.sqrt(max(dcov2, 0.0)) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
+    return float(min(1.0, max(0.0, r)))
+
+
 def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Distance correlation of two equal-length windows, in [0, 1].
 
@@ -101,7 +116,8 @@ def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     distance variances follow the same recipe against themselves. A
     window with zero distance variance on either side yields 0 by
     convention: constant interest carries no association signal. The
-    final ratio is clamped to [0, 1] to absorb rounding dust.
+    final ratio is clamped to [0, 1] to absorb rounding dust. The
+    centring and ratio helpers are those of ``correlation_matrix_sequence``.
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
@@ -111,20 +127,9 @@ def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatchError(f"window lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise WindowTooShortError(f"need at least 2 observations, got {len(xs)}")
-
-    def centered(values: np.ndarray) -> np.ndarray:
-        d = np.abs(values[:, None] - values[None, :])
-        return d - d.mean(axis=0)[None, :] - d.mean(axis=1)[:, None] + d.mean()
-
-    a = centered(xs)
-    b = centered(ys)
-    dcov2 = float((a * b).mean())
-    dvarx2 = float((a * a).mean())
-    dvary2 = float((b * b).mean())
-    if dvarx2 <= 0.0 or dvary2 <= 0.0:
-        return 0.0
-    r = np.sqrt(max(dcov2, 0.0)) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
-    return float(min(1.0, max(0.0, r)))
+    a = _centered(xs)
+    b = _centered(ys)
+    return _dcor_ratio(float((a * b).mean()), float((a * a).mean()), float((b * b).mean()))
 
 
 def threshold_graph(matrices: np.ndarray, theta: float) -> np.ndarray:
@@ -170,9 +175,13 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
     day (window - 1) onward; day t's matrix covers [t - window + 1, t],
     day t included, and is symmetric with ones on the diagonal.
 
-    This is the expensive intermediate; the sweep reuses one sequence
-    across every threshold and metric choice.
+    Each keyword's window is double-centred once per day and every pair
+    reuses it; each entry equals ``distance_correlation`` on the pair's
+    windows bit for bit. This is the expensive intermediate; the sweep
+    reuses one sequence across every threshold and metric choice.
     """
+    if window < 2:
+        raise WindowTooShortError(f"a {window}-day window is too short; need at least 2 days")
     if len(panel) < window:
         raise InsufficientHistoryError(
             f"panel of {len(panel)} days cannot support a {window}-day window"
@@ -181,10 +190,12 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
     # matrix d covers panel offsets [d, d + window); diagonal entries are 1
     matrices = np.tile(np.eye(n), (len(panel) - window + 1, 1, 1))
     for day, matrix in enumerate(matrices):
-        windows = panel.values[:, day : day + window]
+        a = _centered(panel.values[:, day : day + window])
+        dvar = [float((a_i * a_i).mean()) for a_i in a]
         for i in range(n):
             for j in range(i + 1, n):
-                matrix[i, j] = matrix[j, i] = distance_correlation(windows[i], windows[j])
+                dcov2 = float((a[i] * a[j]).mean())
+                matrix[i, j] = matrix[j, i] = _dcor_ratio(dcov2, dvar[i], dvar[j])
     matrices.flags.writeable = False
     return matrices
 

@@ -38,6 +38,22 @@ vectors = st.lists(
 )
 
 
+@st.composite
+def tied_panel_and_window(draw):
+    """1-8 keywords over 20-60 days with integer ties, a zero run and a
+    constant last keyword, plus a window from 2 up to the panel length."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    days = draw(st.integers(min_value=20, max_value=60))
+    ties = st.integers(min_value=0, max_value=4).map(float)
+    cell = ties | st.floats(min_value=0.0, max_value=100.0)
+    rows = [draw(st.lists(cell, min_size=days, max_size=days)) for _ in range(n)]
+    zero_from = draw(st.integers(min_value=0, max_value=days - 1))
+    zero_to = draw(st.integers(min_value=zero_from, max_value=days))
+    rows[0][zero_from:zero_to] = [0.0] * (zero_to - zero_from)
+    rows[-1] = [draw(cell)] * days
+    return panel_of(rows), draw(st.integers(min_value=2, max_value=days))
+
+
 def panel_of(series_values, start=START):
     return KeywordPanel.from_mapping(
         {
@@ -131,6 +147,26 @@ class TestCorrelationMatrixAt:
         p = panel_of([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]])
         m = correlation_matrix_sequence(p, window=8)[0]
         np.testing.assert_array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n_keywords", [1, 2])
+    @pytest.mark.parametrize("window", [-3, 0, 1])
+    def test_window_below_two_names_the_window(self, n_keywords, window):
+        p = panel_of([range(20)] * n_keywords)
+        with pytest.raises(WindowTooShortError, match=f"a {window}-day window is too short"):
+            correlation_matrix_sequence(p, window)
+
+    @given(tied_panel_and_window())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_pair_oracle_bit_for_bit(self, panel_and_window):
+        p, window = panel_and_window
+        days = len(p) - window + 1
+        expected = np.tile(np.eye(p.n_keywords), (days, 1, 1))
+        for day in range(days):
+            w = p.values[:, day : day + window]
+            for i in range(p.n_keywords):
+                for j in range(i + 1, p.n_keywords):
+                    expected[day, i, j] = expected[day, j, i] = distance_correlation(w[i], w[j])
+        assert np.array_equal(correlation_matrix_sequence(p, window), expected)
 
 
 class TestThresholdGraph:
