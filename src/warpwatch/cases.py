@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -20,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MissingColumnError, ParseError, RangeMismatchError
-from .timeseries import DateIndexedSeries, parse_iso_date
+from .timeseries import (
+    COLUMNAR_MIN_BYTES,
+    DateIndexedSeries,
+    iso_date_ordinals,
+    parse_iso_date,
+    read_plain_columns,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -65,9 +72,53 @@ def load_linelist(path: str, region: str, province: str) -> list[LineListRecord]
     Blank region or province fields never match the filter. Dates are
     validated only on retained rows (off-region rows may be arbitrarily
     dirty), and a malformed date raises ParseError with its row number.
+    A UTF-8 byte-order mark is skipped.
+
+    A plain file (see ``read_plain_columns``) of at least
+    ``COLUMNAR_MIN_BYTES`` whose retained rows are all valid is read
+    column-wise: the filter runs on whole columns, then only the retained
+    rows' distinct dates are parsed. Any other file, and every error,
+    goes through the row parser, which alone words the messages.
     """
+    records = None
+    if os.path.getsize(path) >= COLUMNAR_MIN_BYTES:
+        records = _linelist_from_columns(path, region, province)
+    return _linelist_from_rows(path, region, province) if records is None else records
+
+
+def _linelist_from_columns(path: str, region: str, province: str) -> list[LineListRecord] | None:
+    """``load_linelist`` of a plain file whose retained rows are valid; None otherwise."""
+    columns = read_plain_columns(path, REQUIRED_COLUMNS)
+    if columns is None:
+        return None
+    keep = (np.char.strip(columns["RegionRes"]) == region.encode()) & (
+        np.char.strip(columns["ProvinceRes"]) == province.encode()
+    )
+    keep &= bool(region and province)
+    confirmed = iso_date_ordinals(columns["DateRepConf"][keep])
+    raw_removed = np.char.strip(columns["DateRepRem"][keep])
+    del columns  # frees the loaded table before the records are built
+    has_removal = raw_removed != b""
+    removed = iso_date_ordinals(raw_removed[has_removal])
+    if confirmed is None or removed is None:
+        return None
+    # key each row by its two day ordinals (0: no removal); rows with the
+    # same key share one record, as records are immutable
+    span = date.max.toordinal() + 1
+    keys = confirmed.astype(np.int64) * span
+    keys[has_removal] += removed
+    keys, inverse = np.unique(keys, return_inverse=True)
+    distinct = []
+    for key in keys.tolist():
+        conf, rem = divmod(key, span)
+        distinct.append(LineListRecord(region, province, date.fromordinal(conf), date.fromordinal(rem) if rem else None))
+    return [distinct[i] for i in inverse.ravel().tolist()]
+
+
+def _linelist_from_rows(path: str, region: str, province: str) -> list[LineListRecord]:
+    """``load_linelist`` one CSV row at a time, with line-numbered errors."""
     records: list[LineListRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

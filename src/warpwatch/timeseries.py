@@ -8,8 +8,10 @@ time zones) and render as ISO-8601 at the I/O boundary.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import os
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +29,17 @@ from .errors import (
 )
 
 CSV_HEADER = ("date", "value")
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DATE_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9)  # where YYYY-MM-DD keeps its digits
+# bytes a plain CSV may hold: printable ASCII but the quote character, and line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"') + b"\r\n"
+_SCAN_BYTES = 1 << 20
+# The loaders send smaller files straight to their row parsers: those are
+# about as fast there, and the columnar read's fixed cost (numpy's text
+# reader and sort kernels paged in, some 1.5 MB resident) would raise a
+# sweep's peak RSS.
+COLUMNAR_MIN_BYTES = 1 << 20
 
 
 def read_only_array(values, ndim: int) -> np.ndarray:
@@ -98,9 +111,6 @@ class DateIndexedSeries:
             raise KeyError(f"{day.isoformat()} outside [{self.start_date}, {self.end_date}]")
         return float(self.values[idx])
 
-    def covers(self, day: date) -> bool:
-        return self.start_date <= day <= self.end_date
-
 
 def validate_contiguous(raw_rows: Iterable[tuple[date, float]]) -> DateIndexedSeries:
     """Build a series from (date, value) rows, requiring one unbroken daily run.
@@ -168,23 +178,67 @@ def align_ranges(
 
 
 def parse_iso_date(text: str) -> date:
-    """Strict YYYY-MM-DD parser; anything else is a format violation."""
+    """Strict YYYY-MM-DD parser; anything else is a format violation.
+
+    The shape is checked first: ``date.fromisoformat`` alone also takes
+    ``20200301`` and ``2020-W10-1`` on Python 3.11 and later.
+    """
+    message = f"bad date {text!r}: expected YYYY-MM-DD"
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(message)
     try:
         return date.fromisoformat(text)
     except ValueError as exc:
-        raise ValueError(f"bad date {text!r}: expected YYYY-MM-DD") from exc
+        raise ValueError(message) from exc
+
+
+def iso_date_ordinals(column: np.ndarray) -> np.ndarray | None:
+    """Day ordinals of a byte-string column of dates, or None unless every
+    entry, stripped of ASCII whitespace, is a date ``parse_iso_date`` accepts.
+
+    The digits are decoded with array operations; ``parse_iso_date``
+    then runs once per distinct date, so both accept the same strings.
+    """
+    if column.dtype.itemsize != 10:
+        column = np.char.strip(column)
+        if (np.char.str_len(column) != 10).any():
+            return None
+    chars = np.ascontiguousarray(column, dtype="S10").view(np.uint8).reshape(-1, 10)
+    if (chars[:, [4, 7]] != 45).any():
+        return None
+    yyyymmdd = np.zeros(len(chars), dtype=np.int32)
+    for i in _DATE_DIGITS:
+        digit = chars[:, i] - np.uint8(48)
+        if (digit > 9).any():
+            return None
+        yyyymmdd *= 10
+        yyyymmdd += digit
+    del chars, digit  # freed before the sort below, which keeps the peak down
+    keys = np.sort(yyyymmdd)
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    try:
+        ordinals = [
+            parse_iso_date(f"{k // 10000:04d}-{k // 100 % 100:02d}-{k % 100:02d}").toordinal()
+            for k in keys.tolist()
+        ]
+    except ValueError:
+        return None
+    return np.array(ordinals, dtype=np.int32)[np.searchsorted(keys, yyyymmdd)]
 
 
 def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, stripped fields) for each data row.
 
-    Accepts LF or CRLF and UTF-8. Blank lines and lines that begin with
-    ``#`` (the provenance comment the CLI emits) are skipped; the first
-    other line must be ``header`` and every later row must have as many
-    fields. Violations raise ParseError with the line number.
+    Accepts LF or CRLF and UTF-8, with or without a byte-order mark.
+    Blank lines and lines that begin with ``#`` (the provenance comment
+    the CLI emits) are skipped; the first other line must be ``header``
+    and every later row must have as many fields. Violations raise
+    ParseError with the line number. This row parser is the one place
+    format errors are worded; the loaders' columnar reads
+    (``read_plain_columns``) hand any file they cannot vouch for back to it.
     """
     expected = ",".join(header)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lineno = 0
         header_seen = False
         for row in csv.reader(fh):
@@ -201,6 +255,90 @@ def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, lis
             yield lineno, [c.strip() for c in row]
         if not header_seen:
             raise ParseError(f"empty file: missing {expected!r} header", max(lineno, 1))
+
+
+def read_plain_columns(
+    path: str, names: Sequence[str], floats: Sequence[str] = (), exact: bool = False
+) -> dict[str, np.ndarray] | None:
+    """Columns ``names`` of a plain CSV, read with one ``np.loadtxt`` call,
+    or None when the file is not plain.
+
+    A plain file, after an optional UTF-8 byte-order mark, is printable
+    ASCII with LF or CRLF line ends, holds no ``"`` and no line that
+    starts with ``#``, and has a header line plus at least one row, every
+    line with as many comma-separated fields as the header. The header's
+    stripped fields must equal ``names`` when ``exact`` and contain them
+    otherwise (the first match counts). Columns in ``floats`` come back
+    as float64, the rest unstripped as byte strings as wide as their
+    longest field, so nothing is cut. None says nothing about validity:
+    the caller's row parser decides, and words any error.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline().removeprefix(codecs.BOM_UTF8)
+        fields = first.count(b",") + 1
+        if not first.endswith(b"\n") or _plain_widths(first, fields) is None:
+            return None
+        header = [field.strip() for field in first.decode("ascii").rstrip("\r\n").split(",")]
+        if (exact and tuple(header) != tuple(names)) or not set(names) <= set(header):
+            return None
+        rows, widest = 0, np.zeros(fields, dtype=np.int64)
+        for lines in _line_blocks(fh):
+            widths = _plain_widths(lines, fields)
+            if widths is None:
+                return None
+            rows += len(widths)
+            widest = np.maximum(widest, widths.max(axis=0))
+    if not rows:
+        return None
+    usecols = [header.index(name) for name in names]
+    dtype = [(name, "f8" if name in floats else f"S{max(1, widest[c])}") for name, c in zip(names, usecols)]
+    try:
+        table = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, quotechar=None, skiprows=1,
+            usecols=usecols, max_rows=rows, encoding="utf-8-sig", ndmin=1,
+        )
+    except ValueError:
+        return None
+    if len(table) != rows:
+        return None
+    return {name: table[name] for name in names}
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of binary file ``fh`` as blocks of whole LF-terminated lines,
+    about ``_SCAN_BYTES`` each; a last line without LF gets one."""
+    tail = b""
+    while block := fh.read(_SCAN_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield tail + block[:cut]
+            tail = block[cut:]
+        else:
+            tail += block
+    if tail:
+        yield tail + b"\n"
+
+
+def _plain_widths(lines: bytes, fields: int) -> np.ndarray | None:
+    """Field widths, one row per line, of LF-terminated ``lines``; None
+    unless they are plain (see ``read_plain_columns``) and every line has
+    exactly ``fields`` fields."""
+    returns = lines.count(b"\r")
+    if (
+        lines.translate(None, _PLAIN_BYTES)
+        or (returns and returns != lines.count(b"\r\n"))
+        or lines.startswith(b"#")
+        or b"\n#" in lines
+    ):
+        return None
+    buf = np.frombuffer(lines, dtype=np.uint8)
+    seps = np.flatnonzero((buf == 44) | (buf == 10))
+    if seps.size % fields:
+        return None
+    seps = seps.reshape(-1, fields)
+    if (buf[seps[:, :-1]] != 44).any() or (buf[seps[:, -1]] != 10).any():
+        return None
+    return np.diff(seps.ravel(), prepend=-1).reshape(-1, fields) - 1
 
 
 def read_series_csv(path: str) -> DateIndexedSeries:

@@ -16,6 +16,7 @@ Both are deterministic and keep the covered range contiguous.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Sequence
@@ -23,7 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, NoOverlapError, ParseError, RangeError
-from .timeseries import DateIndexedSeries, parse_iso_date, read_csv_rows, read_only_array, sequential_sum
+from .timeseries import (
+    COLUMNAR_MIN_BYTES,
+    DateIndexedSeries,
+    iso_date_ordinals,
+    parse_iso_date,
+    read_csv_rows,
+    read_only_array,
+    read_plain_columns,
+    sequential_sum,
+)
 
 SEGMENT_DAYS = 30
 
@@ -33,9 +43,9 @@ WEEKLY_HEADER = ("keyword", "week_start", "value")
 logger = logging.getLogger(__name__)
 
 
-def _scores(values, what: str) -> np.ndarray:
+def _scores(values, what: str, ndim: int = 1) -> np.ndarray:
     """Read-only float64 copy of ``values``; RangeError names the first outside [0, 100]."""
-    array = read_only_array(values, 1)
+    array = read_only_array(values, ndim)
     outside = (array < 0.0) | (array > 100.0)
     if outside.any():
         raise RangeError(f"{what} value {float(array[outside][0])} outside [0, 100]")
@@ -54,6 +64,23 @@ class DailySegment:
         object.__setattr__(self, "values", _scores(self.values, "segment"))
         if len(self.values) != SEGMENT_DAYS:
             raise ValueError(f"segment must hold exactly {SEGMENT_DAYS} values, got {len(self.values)}")
+
+    @classmethod
+    def from_rows(cls, keywords: Sequence[str], starts: Sequence[date], rows) -> list[DailySegment]:
+        """One segment per row of the (segments, 30) array ``rows``.
+
+        The constructor's checks run once on the whole array, and each
+        segment's values are a read-only row of one copy of it.
+        """
+        block = _scores(rows, "segment", ndim=2)
+        if block.shape[1] != SEGMENT_DAYS:
+            raise ValueError(f"segment must hold exactly {SEGMENT_DAYS} values, got {block.shape[1]}")
+        segments = []
+        for keyword, start_date, values in zip(keywords, starts, block):
+            segment = object.__new__(cls)
+            segment.__dict__.update(keyword=keyword, start_date=start_date, values=values)
+            segments.append(segment)
+        return segments
 
     @property
     def end_date(self) -> date:
@@ -90,8 +117,62 @@ def load_segments(path: str) -> list[DailySegment]:
     Rows are grouped by (keyword, segment_start); each group must supply
     exactly the 30 consecutive days starting at segment_start. Values
     outside [0, 100] raise RangeError; structural violations raise
-    ParseError with the offending line number.
+    ParseError with the offending line number. Segments come back sorted
+    by keyword, then start date.
+
+    A plain file (see ``read_plain_columns``) of at least
+    ``COLUMNAR_MIN_BYTES`` whose rows are all valid is read column-wise;
+    any other file, and every error, goes through the row parser, which
+    alone words the messages.
     """
+    segments = None
+    if os.path.getsize(path) >= COLUMNAR_MIN_BYTES:
+        segments = _segments_from_columns(path)
+    return _segments_from_rows(path) if segments is None else segments
+
+
+def _segments_from_columns(path: str) -> list[DailySegment] | None:
+    """``load_segments`` of a plain, valid file with array operations; None otherwise."""
+    columns = read_plain_columns(path, SEGMENT_HEADER, floats=("value",), exact=True)
+    if columns is None:
+        return None
+    starts = iso_date_ordinals(columns["segment_start"])
+    offsets = iso_date_ordinals(columns["date"])
+    values = np.ascontiguousarray(columns["value"])
+    if starts is None or offsets is None or not ((values >= 0.0) & (values <= 100.0)).all():
+        return None
+    offsets -= starts
+    if ((offsets < 0) | (offsets >= SEGMENT_DAYS)).any():
+        return None
+    # keyword codes in sorted-keyword order, decoded once per run of equal raw fields
+    raw = columns.pop("keyword")
+    heads = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
+    names = [k.decode("ascii").strip() for k in raw[heads].tolist()]
+    keywords = sorted(set(names))
+    code_of = {name: code for code, name in enumerate(keywords)}
+    codes = np.repeat([code_of[name] for name in names], np.diff(heads, append=len(raw)))
+    del columns, raw  # frees the loaded table before the sort
+
+    # one cell per (keyword, start, offset); sorted, each group must hold offsets 0..29 once
+    first = int(starts.min())
+    span = int(starts.max()) - first + 1
+    cells = (codes.astype(np.int64) * span + (starts - first)) * SEGMENT_DAYS + offsets
+    if len(cells) % SEGMENT_DAYS:
+        return None
+    order = np.argsort(cells, kind="stable")
+    grid = cells[order].reshape(-1, SEGMENT_DAYS)
+    if (grid[:, 0] % SEGMENT_DAYS).any() or (grid != grid[:, :1] + np.arange(SEGMENT_DAYS)).any():
+        return None
+    codes, starts = np.divmod(grid[:, 0] // SEGMENT_DAYS, span)
+    return DailySegment.from_rows(
+        [keywords[c] for c in codes.tolist()],
+        [date.fromordinal(first + s) for s in starts.tolist()],
+        values[order].reshape(-1, SEGMENT_DAYS),
+    )
+
+
+def _segments_from_rows(path: str) -> list[DailySegment]:
+    """``load_segments`` one CSV row at a time, with line-numbered errors."""
     slots: dict[tuple[str, date], list[float | None]] = {}
     first_line: dict[tuple[str, date], int] = {}
     for lineno, (keyword, raw_start, raw_day, raw_value) in read_csv_rows(path, SEGMENT_HEADER):

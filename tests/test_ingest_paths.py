@@ -1,0 +1,254 @@
+"""The columnar and the row-by-row path of each loader agree.
+
+``load_segments`` and ``load_linelist`` read a large plain file
+column-wise and hand any other file to their row parser, which alone
+words errors. These properties feed the columnar path small generated
+files, mutated the way real exports go wrong: whenever it answers, its
+answer must be the row parser's, bit for bit; otherwise it must step
+aside rather than raise.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from warpwatch import cases, trends
+from warpwatch.cases import load_linelist
+from warpwatch.timeseries import COLUMNAR_MIN_BYTES, iso_date_ordinals, parse_iso_date, read_plain_columns
+from warpwatch.trends import load_segments
+
+BASE = date(2020, 3, 1)
+CORPUS = Path(__file__).parent / "data" / "dirty"
+SEGMENT_HEADER = "keyword,segment_start,date,value"
+LINELIST_HEADER = "RegionRes,ProvinceRes,DateRepConf,DateRepRem,Age"
+
+CELL_TEXT = st.sampled_from(
+    ["", " ", "x", "nan", "inf", "1e999", "-0.0", "100.0000001", "-1", "1_0", "0x1", "5.", ".5", "+5",
+     "2020-02-30", "2020-3-01", "20200301", "2020-W10-1", "2020-03-01T00", " 2020-03-05 ",
+     "NCR", " NCR ", "#N/A", "#", '"q"', '"a,b"', "é", "\t5", "a,b"]
+)
+VALUE_TEXT = st.one_of(
+    st.floats(0, 100).map(lambda v: f"{v:.4f}"),
+    st.floats(0, 100).map(repr),
+    st.sampled_from(["0", "100", "5.", ".5", "+5", "1e1", "-0.0", "0e0", " 7 "]),
+)
+MUTATION = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "cell", "blank", "pad", "quote", "crlf", "blank_line", "truncate", "bom"]),
+    st.integers(0, 10_000),
+    st.integers(0, 10_000),
+    CELL_TEXT,
+)
+
+
+def mutated_bytes(lines: list[str], mutations) -> bytes:
+    """Apply the mutation operators to ``lines`` and encode the file."""
+    lines = list(lines)
+    newline, prefix, cut = "\n", b"", None
+    for op, i, j, text in mutations:
+        i %= len(lines)
+        cells = lines[i].split(",")
+        j %= len(cells)
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            k = j % len(lines)
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op in ("cell", "blank", "pad", "quote"):
+            cells[j] = {"cell": text, "blank": "", "pad": f"  {cells[j]} ", "quote": f'"{cells[j]}"'}[op]
+            lines[i] = ",".join(cells)
+        elif op == "crlf":
+            newline = "\r\n"
+        elif op == "blank_line":
+            lines.insert(i, "")
+        elif op == "truncate":
+            cut = i
+        elif op == "bom":
+            prefix = b"\xef\xbb\xbf"
+    data = prefix + (newline.join(lines) + newline).encode("utf-8")
+    return data if cut is None else data[: cut % len(data)]
+
+
+@st.composite
+def segment_files(draw):
+    lines = [SEGMENT_HEADER]
+    for keyword in draw(st.lists(st.sampled_from(["cough", "sore throat", "flu"]), min_size=1, max_size=2, unique=True)):
+        for offset in draw(st.lists(st.integers(0, 20), min_size=1, max_size=2, unique=True)):
+            start = BASE + timedelta(days=offset)
+            values = draw(st.lists(VALUE_TEXT, min_size=1, max_size=4))
+            lines += [f"{keyword},{start},{start + timedelta(days=i)},{values[i % len(values)]}" for i in range(30)]
+    return mutated_bytes(lines, draw(st.lists(MUTATION, max_size=3)))
+
+
+@st.composite
+def linelist_files(draw):
+    lines = [LINELIST_HEADER]
+    for _ in range(draw(st.integers(1, 25))):
+        region = draw(st.sampled_from(["NCR", "NCR", " NCR ", "CALABARZON", ""]))
+        conf = BASE + timedelta(days=draw(st.integers(0, 40)))
+        removal = draw(st.sampled_from(["", str(conf + timedelta(days=5)), str(conf - timedelta(days=2))]))
+        lines.append(f"{region},{region},{conf},{removal},{draw(st.integers(0, 99))}")
+    return mutated_bytes(lines, draw(st.lists(MUTATION, max_size=3)))
+
+
+def outcome(load, *args):
+    """What a loader did: its result, or its error's type, message and line."""
+    try:
+        return "ok", load(*args)
+    except Exception as exc:  # both paths must fail alike, whatever the error
+        return "error", type(exc), str(exc), getattr(exc, "line", None)
+
+
+def segment_key(result):
+    if result[0] != "ok":
+        return result
+    for s in result[1]:
+        assert s.values.dtype == np.float64 and s.values.shape == (30,) and not s.values.flags.writeable
+    return "ok", [(s.keyword, s.start_date, s.values.tobytes()) for s in result[1]]
+
+
+def check_segments(path: str) -> None:
+    fast = trends._segments_from_columns(path)
+    assert fast is None or segment_key(("ok", fast)) == segment_key(outcome(trends._segments_from_rows, path))
+
+
+def check_linelist(path: str, region: str = "NCR", province: str = "NCR") -> None:
+    fast = cases._linelist_from_columns(path, region, province)
+    assert fast is None or ("ok", fast) == outcome(cases._linelist_from_rows, path, region, province)
+
+
+def written(data: bytes) -> str:
+    fh = tempfile.NamedTemporaryFile("wb", suffix=".csv", delete=False)
+    with fh:
+        fh.write(data)
+    return fh.name
+
+
+PROPERTY = settings(max_examples=75, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(segment_files())
+def test_columnar_segments_match_the_row_parser(data):
+    path = written(data)
+    try:
+        check_segments(path)
+    finally:
+        Path(path).unlink()
+
+
+@PROPERTY
+@given(linelist_files(), st.sampled_from([("NCR", "NCR"), ("CALABARZON", "CALABARZON"), ("", ""), ("NCR ", "NCR"), ("é", "NCR")]))
+def test_columnar_linelist_matches_the_row_parser(data, place):
+    path = written(data)
+    try:
+        check_linelist(path, *place)
+    finally:
+        Path(path).unlink()
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("[sl]*.csv")), ids=lambda p: p.stem)
+def test_columnar_path_matches_the_row_parser_on_the_corpus(path):
+    (check_segments if path.name.startswith("segments") else check_linelist)(str(path))
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """A segment file and a line list just over COLUMNAR_MIN_BYTES, both well formed."""
+    directory = tmp_path_factory.mktemp("large")
+    segments, linelist = directory / "segments.csv", directory / "linelist.csv"
+    rows = [SEGMENT_HEADER]
+    for k in range(20):
+        for offset in range(46):
+            start = BASE + timedelta(days=offset)
+            rows += [f"keyword {k},{start},{start + timedelta(days=i)},{(7 * k + i) % 100}.25" for i in range(30)]
+    segments.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows = [LINELIST_HEADER]
+    for n in range(33_000):
+        conf = BASE + timedelta(days=n % 90)
+        rows.append(f"{'NCR' if n % 3 else 'CALABARZON'},NCR,{conf},{conf + timedelta(days=n % 17) if n % 5 else ''},{n % 90}")
+    linelist.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert min(segments.stat().st_size, linelist.stat().st_size) >= COLUMNAR_MIN_BYTES
+    return str(segments), str(linelist)
+
+
+@pytest.fixture
+def row_parser_calls(monkeypatch):
+    """Count the calls into both row parsers."""
+    calls = []
+    for module, name in ((trends, "_segments_from_rows"), (cases, "_linelist_from_rows")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+def test_large_well_formed_files_skip_the_row_parser(large_inputs, row_parser_calls):
+    segments, linelist = large_inputs
+    assert len(load_segments(segments)) == 20 * 46
+    assert len(load_linelist(linelist, "NCR", "NCR")) == 22_000
+    assert row_parser_calls == []
+
+
+def test_small_files_take_the_row_parser(sweep_inputs, row_parser_calls):
+    assert len(load_segments(sweep_inputs.segments)) > 0
+    assert len(load_linelist(sweep_inputs.linelist, "NCR", "NCR")) > 0
+    assert row_parser_calls == ["_segments_from_rows", "_linelist_from_rows"]
+
+
+def test_columnar_loaders_equal_the_row_parsers_on_large_files(large_inputs):
+    segments, linelist = large_inputs
+    assert segment_key(("ok", load_segments(segments))) == segment_key(("ok", trends._segments_from_rows(segments)))
+    assert load_linelist(linelist, "NCR", "NCR") == cases._linelist_from_rows(linelist, "NCR", "NCR")
+
+
+def test_a_quoted_field_steps_aside(tmp_path):
+    path = tmp_path / "segments.csv"
+    rows = [f'"a, b",{BASE},{BASE + timedelta(days=i)},1.0' for i in range(30)]
+    path.write_text("\n".join([SEGMENT_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert trends._segments_from_columns(str(path)) is None
+    assert [s.keyword for s in load_segments(str(path))] == ["a, b"]
+
+
+class TestColumnarPieces:
+    @pytest.mark.parametrize(
+        "text", ["2020-03-01", "2020-02-29", "2020-02-30", "2021-02-29", "20200301", "2020-W10-1",
+                 "0000-01-01", "9999-12-31", "2020-13-01", "2020-00-10", "2020-1-01", "2020-03-01 ",
+                 " 2020-03-01", "2020-03-0x", "2020/03/01", ""]
+    )
+    def test_date_decoder_accepts_what_the_strict_parser_accepts(self, text):
+        try:
+            expected = parse_iso_date(text.strip()).toordinal()
+        except ValueError:
+            expected = None
+        ordinals = iso_date_ordinals(np.array([text.encode()]))
+        assert (None if ordinals is None else int(ordinals[0])) == expected
+
+    def test_strict_parser_rejects_compact_and_week_dates(self):
+        for text in ("20200301", "2020-W10-1", "2020-061", "２０２０-03-01"):
+            with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+                parse_iso_date(text)
+
+    def test_columns_are_as_wide_as_their_longest_field(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa, b ,c\r\nxy,1.5,\r\nlonger field,2,z\r\n")
+        columns = read_plain_columns(str(path), ("b", "a"), floats=("b",))
+        assert columns["a"].tolist() == [b"xy", b"longer field"]
+        assert columns["b"].tolist() == [1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"", b"a,b\n", b"a,b\n1,2,3\n", b"a,b\n1\n", b'a,b\n"1",2\n', b"a,b\n1,2\n\n3,4\n", b"a,b\n#1,2\n",
+         b"a,b\r1,2\r", b"a,b\n1\t,2\n", b"a,b\n\xc3\xa9,2\n", b"x,b\n1,2\n"],
+    )
+    def test_anything_but_plain_is_handed_back(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        assert read_plain_columns(str(path), ("a", "b")) is None
