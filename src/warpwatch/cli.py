@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -52,30 +51,6 @@ from .timeseries import (
 from .trends import load_segments, load_weekly, msv_merge, rescale_daily
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance embedded in every output: what ran, on which bytes."""
-
-    command: str
-    parameters: dict
-    inputs: dict
-    artifact_version: str
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.artifact_version,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-        }
-
-    def compact_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-    def preamble(self) -> str:
-        return f"manifest: {self.compact_json()}"
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -84,13 +59,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(args, input_paths: Sequence[str], **resolved) -> RunManifest:
-    """Every parsed flag but ``--outdir``, in parser order, with ``resolved``
-    values replacing or following them, and a hash of each input file."""
+def _manifest(args, input_paths: Sequence[str], **resolved) -> dict:
+    """Provenance embedded in every output: the command, the artifact version,
+    every parsed flag but ``--outdir`` in parser order with ``resolved`` values
+    replacing or following them, and a hash of each input file."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "outdir")}
     parameters.update(resolved)
     inputs = {p: _sha256(p) for p in sorted(input_paths)}
-    return RunManifest(args.subcommand, parameters, inputs, __version__)
+    return {"command": args.subcommand, "version": __version__, "parameters": parameters, "inputs": inputs}
+
+
+def _preamble(manifest: dict) -> str:
+    """The manifest as the one-line comment that heads every CSV output."""
+    return "manifest: " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
 
 def _round_floats(obj):
@@ -189,7 +170,7 @@ def _cmd_preprocess(args) -> int:
         used_slugs[slug] = keyword
     out = _outdir(args)
     for slug, keyword in used_slugs.items():
-        write_series_csv(series[keyword], str(out / f"{slug}.csv"), manifest.preamble())
+        write_series_csv(series[keyword], str(out / f"{slug}.csv"), _preamble(manifest))
     print(f"wrote {len(series)} keyword series to {out}")
     return 0
 
@@ -201,7 +182,7 @@ def _cmd_metrics(args) -> int:
     manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
     result = metric_series(panel, MetricKind(args.metric), args.threshold, args.window)
     out = _outdir(args)
-    write_series_csv(result.series, str(out / "metric.csv"), manifest.preamble())
+    write_series_csv(result.series, str(out / "metric.csv"), _preamble(manifest))
     print(f"wrote {len(result.series)} {args.metric} values to {out / 'metric.csv'}")
     return 0
 
@@ -214,8 +195,8 @@ def _cmd_cases(args) -> int:
     n_records, cases = _derive_cases(args.linelist, args.region, args.province, start, end)
     manifest = _manifest(args, [args.linelist])
     out = _outdir(args)
-    write_series_csv(cases[CaseKind.CONFIRMED], str(out / "confirmed.csv"), manifest.preamble())
-    write_series_csv(cases[CaseKind.ACTIVE], str(out / "active.csv"), manifest.preamble())
+    write_series_csv(cases[CaseKind.CONFIRMED], str(out / "confirmed.csv"), _preamble(manifest))
+    write_series_csv(cases[CaseKind.ACTIVE], str(out / "active.csv"), _preamble(manifest))
     print(f"kept {n_records} records; wrote confirmed.csv and active.csv to {out}")
     return 0
 
@@ -238,7 +219,7 @@ def _cmd_dtw(args) -> int:
     _write_json(
         out / "dtw.json",
         {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "distance": result.distance,
             "radius": args.radius,
             "path_length": len(result.path),
@@ -261,7 +242,7 @@ def _cmd_dtw(args) -> int:
             ]
             for i, j in result.path
         ),
-        manifest.preamble(),
+        _preamble(manifest),
     )
     print(f"distance {format_value(result.distance)} over {len(result.path)} path steps")
     return 0
@@ -335,7 +316,7 @@ def _cmd_sweep(args) -> int:
             + ["" if r.dtw_score is None else format_value(r.dtw_score), r.status]
             for r in results
         ),
-        manifest.preamble(),
+        _preamble(manifest),
     )
 
     succeeded = [r for r in results if r.ok]
@@ -347,7 +328,7 @@ def _cmd_sweep(args) -> int:
     _write_json(
         out / "parameter_report.json",
         {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "parameters": {
                 rep.parameter: {
                     "level_means": rep.level_means,
@@ -367,7 +348,7 @@ def _cmd_sweep(args) -> int:
             [*map(r.config.level, optimal_columns), format_value(r.dtw_score)]
             for r in optimal_configs(results)
         ),
-        manifest.preamble(),
+        _preamble(manifest),
     )
     print(
         f"swept {len(results)} configurations ({len(succeeded)} scored); artifacts in {out}"
@@ -392,8 +373,8 @@ def _cmd_synth(args) -> int:
     case, metric = synth_pair(scenario)
     manifest = _manifest(args, [])
     out = _outdir(args)
-    write_series_csv(case, str(out / "case.csv"), manifest.preamble())
-    write_series_csv(metric, str(out / "metric.csv"), manifest.preamble())
+    write_series_csv(case, str(out / "case.csv"), _preamble(manifest))
+    write_series_csv(metric, str(out / "metric.csv"), _preamble(manifest))
     print(f"wrote synthetic pair (length {args.length}, lag {args.lag}) to {out}")
     return 0
 

@@ -2,19 +2,26 @@
 
 The accumulated-cost recursion admits steps from (i-1,j), (i,j-1) and
 (i-1,j-1). A Sakoe-Chiba band of radius r restricts the path to cells
-with |i - j| <= r. Only the cells the band admits are stored, one row
-per i, so memory grows with the band, not with N x M. All floating
-comparisons are exact: sums of absolute differences at this scale do
-not need an epsilon.
+with |i - j| <= r. The band is filled one anti-diagonal i + j at a time,
+one numpy update per diagonal for one pair or a stack of pairs; only
+three diagonals are kept, plus one int8 step code per band cell for a
+single pair's backtrack. All floating comparisons are exact: sums of
+absolute differences at this scale do not need an epsilon.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import BandInfeasibleError, NonFiniteValueError
+import numpy as np
+
+from .errors import BandInfeasibleError, LengthMismatchError, NonFiniteValueError
 from .timeseries import read_only_array
+
+# step code -> (di, dj) back to the predecessor, in tie-break order:
+# diagonal (i-1, j-1) first, then (i-1, j), then (i, j-1)
+_MOVES = ((1, 1), (1, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -29,9 +36,8 @@ class BandSpec:
     radius: int | None = None
 
     def __post_init__(self) -> None:
-        if self.radius is not None:
-            if not isinstance(self.radius, int) or self.radius < 0:
-                raise ValueError(f"radius must be a nonnegative integer, got {self.radius!r}")
+        if self.radius is not None and (not isinstance(self.radius, int) or self.radius < 0):
+            raise ValueError(f"radius must be a nonnegative integer, got {self.radius!r}")
 
     @classmethod
     def unconstrained(cls) -> "BandSpec":
@@ -43,19 +49,6 @@ class BandSpec:
 
     def admits(self, i: int, j: int) -> bool:
         return self.radius is None or abs(i - j) <= self.radius
-
-    def check_feasible(self, n: int, m: int) -> None:
-        """The terminal cell (N, M) must sit inside the band."""
-        if self.radius is not None and abs(n - m) > self.radius:
-            raise BandInfeasibleError(
-                f"|N-M| = {abs(n - m)} exceeds radius {self.radius}: cell (N,M) unreachable"
-            )
-
-    def column_span(self, i: int, m: int) -> tuple[int, int]:
-        """Inclusive 0-based column range admitted in row ``i`` of an N x m matrix."""
-        if self.radius is None:
-            return 0, m - 1
-        return max(0, i - self.radius), min(m - 1, i + self.radius)
 
 
 @dataclass(frozen=True)
@@ -70,61 +63,68 @@ class DtwResult:
     path: tuple[tuple[int, int], ...]
 
 
-def dtw(
-    x: Sequence[float],
-    y: Sequence[float],
-    band: BandSpec | None = None,
-) -> DtwResult:
+def dtw(x: np.typing.ArrayLike, y: np.typing.ArrayLike, band: BandSpec | None = None) -> DtwResult | np.ndarray:
     """Optimal banded alignment of ``x`` onto ``y``, both costed as given.
 
+    Two series give a DtwResult. Stacks shaped (k, N) and (k, M) give the
+    k row pairs' distances as a float64 array, through the same update but
+    with no path; a pair whose distance overflows reads +inf there.
+
     Raises EmptySeriesError or NonFiniteValueError on empty or non-finite
-    input, BandInfeasibleError when the length gap exceeds the band radius.
+    input, and on a single pair's overflowing distance; LengthMismatchError
+    on stacks of unequal height; BandInfeasibleError when |N - M| > radius.
     """
-    if band is None:
-        band = BandSpec.unconstrained()
-    xs = read_only_array(x, 1).tolist()
-    ys = read_only_array(y, 1).tolist()
-    n, m = len(xs), len(ys)
-    band.check_feasible(n, m)
-    inf = float("inf")
-    # rows[i + 1][k] is the accumulated cost of cell (i, starts[i + 1] + k).
-    # Row i spans columns column_span(i) plus one +inf pad at each end; the
-    # virtual row -1 holds 0 at column -1, so (0, 0) needs no special case.
-    starts = [-1]
-    rows = [[0.0] + [inf] * m]
-    for i, xi in enumerate(xs):
-        lo, hi = band.column_span(i, m)
-        up = rows[-1]
-        off = lo - 1 - starts[-1]  # up[k + off] is column lo - 1 + k of row i - 1
-        row = [inf] * (hi - lo + 3)
-        left = inf
-        for k, yj in enumerate(ys[lo : hi + 1], 1):
-            best = up[k + off - 1]
-            if up[k + off] < best:
-                best = up[k + off]
-            if left < best:
-                best = left
-            left = row[k] = abs(xi - yj) + best
-        starts.append(lo - 1)
-        rows.append(row)
-    distance = rows[-1][-2]
-    if distance == inf:
+    band = band or BandSpec.unconstrained()
+    stacked = np.ndim(x) == 2
+    xs = read_only_array(x, 2 if stacked else 1)
+    xs, ys = np.atleast_2d(xs, read_only_array(y, xs.ndim))
+    if len(xs) != len(ys):
+        raise LengthMismatchError(f"{len(xs)} x series against {len(ys)} y series")
+    (k, n), m = xs.shape, ys.shape[1]
+    if band.radius is not None and abs(n - m) > band.radius:
+        raise BandInfeasibleError(f"|N-M| = {abs(n - m)} exceeds radius {band.radius}: cell (N,M) unreachable")
+    radius = max(n, m) if band.radius is None else band.radius
+    # anti-diagonal d = i + j holds the band cells of rows lo[d]..hi[d]; for a
+    # single pair, steps[starts[d] + i - lo[d]] is the step code of cell (i, j)
+    diagonals = range(n + m - 1)
+    lo = [max(0, d - m + 1, (d - radius + 1) // 2) for d in diagonals]
+    hi = [min(n - 1, d, (d + radius) // 2) for d in diagonals]
+    starts = list(itertools.accumulate((h - l + 1 for l, h in zip(lo, hi)), initial=0))
+    steps = None if stacked else np.empty(starts[-1], np.int8)
+    # acc[d % 3][:, i + 1] is the accumulated cost of cell (i, d - i); every
+    # entry outside the band holds +inf and never wins. Diagonal -2 holds 0
+    # in row -1, the virtual predecessor of (0, 0).
+    acc = np.full((3, k, n + 1), np.inf)
+    acc[1, :, 0] = 0.0
+    planes = list(acc)
+    y_reversed = ys[:, ::-1].copy()  # column j of ys is column m - 1 - j here
+    # candidates[:, :, q] are the (diagonal, up, left) predecessors of row lo[d] + q
+    candidates = np.empty((3, k, max(h - l for l, h in zip(lo, hi)) + 1))
+    pair, offset = np.arange(k)[:, None], np.arange(candidates.shape[2])
+    with np.errstate(over="ignore"):
+        for d in diagonals:
+            a, b, c = lo[d], hi[d] + 1, m - 1 - d
+            before, prev, row = planes[(d + 1) % 3], planes[(d + 2) % 3], planes[d % 3]
+            cand = candidates[:, :, : b - a]
+            cand[0], cand[1], cand[2] = before[:, a:b], prev[:, a:b], prev[:, a + 1 : b + 1]
+            step = cand.argmin(axis=0)  # the first minimum wins ties
+            best = cand[step, pair, offset[: b - a]]
+            # rows of diagonal d - 3 below this diagonal's band revert to +inf
+            row[:, lo[d - 3] + 1 if d >= 3 else 0 : a + 1] = np.inf
+            np.add(np.abs(xs[:, a:b] - y_reversed[:, c + a : c + b]), best, out=row[:, a + 1 : b + 1])
+            if steps is not None:
+                steps[starts[d] : starts[d + 1]] = step[0]
+    distances = acc[(n + m - 2) % 3, :, n].copy()
+    if stacked:
+        return distances
+    distance = float(distances[0])
+    if distance == np.inf:
         raise NonFiniteValueError("DTW distance overflows float64")
 
-    # Tie-break when several predecessors attain the minimum: diagonal
-    # (i-1, j-1) first, then (i-1, j), then (i, j-1). The pads, and the
-    # virtual row past column -1, hold +inf and therefore never win.
-    i, j = n - 1, m - 1
-    pairs = [(n, m)]
+    i, j, pairs = n - 1, m - 1, [(n, m)]
     while i > 0 or j > 0:
-        up, row = rows[i], rows[i + 1]
-        u, k = j - starts[i], j - starts[i + 1]
-        step, best = (i - 1, j - 1), up[u - 1]
-        if up[u] < best:
-            step, best = (i - 1, j), up[u]
-        if row[k - 1] < best:
-            step = (i, j - 1)
-        i, j = step
+        di, dj = _MOVES[steps[starts[i + j] + i - lo[i + j]]]
+        i, j = i - di, j - dj
         pairs.append((i + 1, j + 1))
     pairs.reverse()
     return DtwResult(distance=distance, path=tuple(pairs))

@@ -105,10 +105,8 @@ class ParameterReport:
 
 def enumerate_configs(domains: Mapping[str, Sequence] = DOMAINS) -> list[SweepConfig]:
     """Cartesian product, in lattice order, of ``domains`` (parameter -> levels)."""
-    return [
-        SweepConfig(*combo)
-        for combo in itertools.product(*(domains[name] for name in PARAMETER_NAMES))
-    ]
+    levels = (domains[name] for name in PARAMETER_NAMES)
+    return [SweepConfig(*combo) for combo in itertools.product(*levels)]
 
 
 class _MissingInput(WarpwatchError):
@@ -134,9 +132,11 @@ def run_sweep(
     stage is not memoised: it is retried, and fails again before any
     heavy work, for each configuration that needs it.
 
-    Configurations are scored one after another, in the order of
-    ``configs``: the DTW fill is pure Python, so threads would only
-    contend for the interpreter lock.
+    Configurations are scored one (window, radius) group at a time: the
+    group's aligned series are stacked by length, and one ``dtw`` call
+    scores each stack; its error becomes every member's status. Case
+    series are normalized and metric values lie in [0, 1], so no
+    distance overflows.
     """
     cfgs = list(configs) if configs is not None else enumerate_configs()
 
@@ -160,18 +160,35 @@ def run_sweep(
         first = panels[preprocess].start_date + timedelta(days=window - 1)
         return metric_series_from_matrices(matrices, first, metric, threshold).series
 
-    def evaluate(cfg: SweepConfig) -> SweepResult:
-        try:
-            case = normalized_case(cfg.case_type)
-            metric = metric_values(cfg.metric, cfg.preprocess, cfg.threshold, cfg.window)
-            case, metric = align_ranges(case, metric)
-            result = dtw(case.values, metric.values, BandSpec.sakoe_chiba(cfg.radius))
-        except WarpwatchError as exc:
-            status = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
-            return SweepResult(cfg, None, status)
-        return SweepResult(cfg, result.distance, "ok")
+    results: list[SweepResult | None] = [None] * len(cfgs)
 
-    return [evaluate(cfg) for cfg in cfgs]
+    def fail(index: int, exc: WarpwatchError) -> None:
+        status = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
+        results[index] = SweepResult(cfgs[index], None, status)
+
+    for window, radius in dict.fromkeys((cfg.window, cfg.radius) for cfg in cfgs):
+        stacks: dict[int, list] = {}  # series length -> [(index, case values, metric values)]
+        for index, cfg in enumerate(cfgs):
+            if (cfg.window, cfg.radius) != (window, radius):
+                continue
+            try:
+                case = normalized_case(cfg.case_type)
+                metric = metric_values(cfg.metric, cfg.preprocess, cfg.threshold, cfg.window)
+                case, metric = align_ranges(case, metric)
+                stacks.setdefault(len(case.values), []).append((index, case.values, metric.values))
+            except WarpwatchError as exc:
+                fail(index, exc)
+        for stack in stacks.values():
+            indices, xs, ys = zip(*stack)
+            try:
+                distances = dtw(xs, ys, BandSpec.sakoe_chiba(radius)).tolist()
+            except WarpwatchError as exc:
+                for index in indices:
+                    fail(index, exc)
+                continue
+            for index, distance in zip(indices, distances):
+                results[index] = SweepResult(cfgs[index], distance, "ok")
+    return results
 
 
 def optimal_configs(results: Sequence[SweepResult]) -> list[SweepResult]:

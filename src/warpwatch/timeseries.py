@@ -46,18 +46,17 @@ def read_only_array(values, ndim: int) -> np.ndarray:
     """Copy ``values`` into a read-only float64 array of ``ndim`` dimensions.
 
     Raises EmptySeriesError on empty input and NonFiniteValueError naming
-    the first NaN or infinity.
+    the first NaN or infinity, and its 0-based row when ``ndim`` is 2.
     """
     array = np.array(values, dtype=float)
     if array.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional values, got shape {array.shape}")
     if array.size == 0:
         raise EmptySeriesError("a series must hold at least one value")
-    bad = ~np.isfinite(array)
-    if bad.any():
-        raise NonFiniteValueError(
-            f"non-finite value {float(array[bad][0])!r} rejected at construction"
-        )
+    if not np.isfinite(array).all():
+        where = tuple(np.argwhere(~np.isfinite(array))[0])
+        row = f" in row {where[0]}" if ndim == 2 else ""
+        raise NonFiniteValueError(f"non-finite value {float(array[where])!r} rejected at construction{row}")
     array.flags.writeable = False
     return array
 

@@ -196,6 +196,8 @@ def _segments_from_rows(path: str) -> list[DailySegment]:
         if row[offset] is not None:
             raise ParseError(f"duplicate date {day.isoformat()} within segment", lineno)
         row[offset] = value
+    if not slots:
+        raise ParseError("no segment rows after the header")
 
     segments: list[DailySegment] = []
     for (keyword, seg_start), row in slots.items():
@@ -213,22 +215,22 @@ def _segments_from_rows(path: str) -> list[DailySegment]:
 def load_weekly(path: str) -> dict[str, WeeklySeries]:
     """Parse a weekly CSV (``keyword,week_start,value``) grouped by keyword.
 
-    A keyword whose week starts are not 7 days apart raises ParseError.
+    Week starts of a keyword not 7 days apart raise ParseError at the later week's line.
     """
-    rows: dict[str, list[tuple[date, float]]] = {}
+    rows: dict[str, list[tuple[date, float, int]]] = {}
     for lineno, (keyword, raw_start, raw_value) in read_csv_rows(path, WEEKLY_HEADER):
         try:
             week_start = parse_iso_date(raw_start)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        rows.setdefault(keyword, []).append((week_start, _parse_score(raw_value, lineno)))
+        rows.setdefault(keyword, []).append((week_start, _parse_score(raw_value, lineno), lineno))
     out: dict[str, WeeklySeries] = {}
-    for keyword, pairs in rows.items():
-        pairs.sort(key=lambda p: p[0])
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+    for keyword, weeks in rows.items():
+        weeks.sort(key=lambda w: w[0])
+        for (a, _, _), (b, _, lineno) in zip(weeks, weeks[1:]):
             if (b - a).days != 7:
-                raise ParseError(f"keyword {keyword!r}: week starts must be 7 days apart, got {a} then {b}")
-        out[keyword] = WeeklySeries(keyword, pairs[0][0], [v for _, v in pairs])
+                raise ParseError(f"keyword {keyword!r}: week starts must be 7 days apart, got {a} then {b}", lineno)
+        out[keyword] = WeeklySeries(keyword, weeks[0][0], [v for _, v, _ in weeks])
     return out
 
 

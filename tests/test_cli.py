@@ -494,6 +494,17 @@ class TestSweep:
         rows = read_rows(out / "sweep.csv")  # the status column still records why
         assert all("DegenerateRangeError" in row[-1] for row in rows[1:])
 
+    def test_header_only_segment_file_exits_2(self, tmp_path, sweep_inputs, capsys):
+        segments = tmp_path / "segments.csv"
+        segments.write_text("keyword,segment_start,date,value\n", encoding="utf-8")
+        code = run(
+            "sweep", "--segments", segments, "--weekly", sweep_inputs.weekly,
+            "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR",
+            "--outdir", tmp_path / "sweep",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: no segment rows after the header\n"
+
 
 class TestPipelineComposition:
     def test_emitted_files_feed_the_next_stage(self, tmp_path, sweep_inputs):
@@ -591,7 +602,7 @@ class TestExitCodes:
             (["dtw", "--case", "{case}", "--metric", "{case}", "--radius", "-1"],
              "--radius must be nonnegative, got -1"),
             (["preprocess", "--segments", "{segments}", "--weekly", "{bad_weekly}", "--method", "rescale"],
-             "keyword 'cough': week starts must be 7 days apart, got 2020-03-16 then 2020-03-24"),
+             "keyword 'cough': week starts must be 7 days apart, got 2020-03-16 then 2020-03-24 (line 3)"),
         ],
     )
     def test_user_error_exits_2_with_message(self, tmp_path, sweep_inputs, capsys, argv, message):

@@ -1,9 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from warpwatch.dtw import BandSpec, dtw
-from warpwatch.errors import BandInfeasibleError, EmptySeriesError, NonFiniteValueError
+from warpwatch.errors import (
+    BandInfeasibleError,
+    EmptySeriesError,
+    LengthMismatchError,
+    NonFiniteValueError,
+)
 from warpwatch.testkit import brute_force_dtw
 
 UNBOUNDED = BandSpec.unconstrained()
@@ -11,6 +18,21 @@ UNBOUNDED = BandSpec.unconstrained()
 small_series = st.lists(
     st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=6
 )
+
+
+@st.composite
+def stacked_pairs(draw):
+    """k row pairs of lengths n and m (often unequal), integer-valued or real, and a radius."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    m = min(40, max(1, n + draw(st.integers(-10, 10))))
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        st.floats(-5.0, 5.0, allow_nan=False),
+    ]))
+    xs = draw(arrays(np.float64, (k, n), elements=values))
+    ys = draw(arrays(np.float64, (k, m), elements=values))
+    return xs, ys, draw(st.sampled_from([None, *range(10)]))
 
 
 def path_is_valid(pairs, n: int, m: int, band: BandSpec) -> bool:
@@ -95,6 +117,59 @@ class TestDtw:
     def test_overflowing_distance_rejected(self):
         with pytest.raises(NonFiniteValueError, match="overflows"):
             dtw((1e308,), (-1e308,))
+
+
+class TestStackedDtw:
+    def test_returns_one_distance_per_row_pair(self):
+        xs = [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]
+        ys = [[0.0, 2.0], [3.0, 1.0]]
+        distances = dtw(xs, ys, BandSpec.sakoe_chiba(1))
+        assert distances.dtype == np.float64 and distances.shape == (2,)
+        assert distances.tolist() == [dtw(x, y, BandSpec.sakoe_chiba(1)).distance for x, y in zip(xs, ys)]
+
+    def test_stack_heights_must_match(self):
+        with pytest.raises(LengthMismatchError, match="3 x series against 2 y series"):
+            dtw(np.zeros((3, 4)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_empty_rows_rejected(self, shape):
+        with pytest.raises(EmptySeriesError):
+            dtw(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_value_names_its_row(self, side):
+        bad, good = np.ones((3, 4)), np.ones((3, 4))
+        bad[2, 1] = float("nan")
+        x, y = (bad, good) if side == "x" else (good, bad)
+        with pytest.raises(NonFiniteValueError, match=r"nan .* in row 2$"):
+            dtw(x, y, BandSpec.sakoe_chiba(1))
+
+    def test_stack_must_pair_with_a_stack(self):
+        with pytest.raises(ValueError, match="expected 2-dimensional"):
+            dtw(np.zeros((2, 3)), np.zeros(3))
+
+    def test_infeasible_band_rejects_the_stack(self):
+        with pytest.raises(BandInfeasibleError):
+            dtw(np.zeros((2, 3)), np.zeros((2, 10)), BandSpec.sakoe_chiba(2))
+
+    def test_overflowing_pair_leaves_the_others_unchanged(self):
+        xs = [[0.5, 1.0], [1e308, 1e308], [2.0, 0.0]]
+        ys = [[0.25, 3.0], [-1e308, -1e308], [1.0, 1.0]]
+        distances = dtw(xs, ys)
+        assert distances[1] == float("inf")
+        kept = [0, 2]
+        assert distances[kept].tolist() == [dtw(xs[i], ys[i]).distance for i in kept]
+
+    @given(stacked_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_distances_equal_single_pair_distances(self, case):
+        xs, ys, radius = case
+        band = BandSpec(radius)
+        if radius is not None and abs(xs.shape[1] - ys.shape[1]) > radius:
+            with pytest.raises(BandInfeasibleError):
+                dtw(xs, ys, band)
+            return
+        assert dtw(xs, ys, band).tolist() == [dtw(x, y, band).distance for x, y in zip(xs, ys)]
 
 
 class TestProperties:

@@ -1,12 +1,18 @@
 import math
-from datetime import date
+from collections import Counter
+from datetime import date, timedelta
 
 import pytest
 
 from warpwatch import sweep
 from warpwatch.cases import CaseKind
 from warpwatch.errors import DegenerateGroupsError
-from warpwatch.network import KeywordPanel, MetricKind
+from warpwatch.network import (
+    KeywordPanel,
+    MetricKind,
+    correlation_matrix_sequence,
+    metric_series_from_matrices,
+)
 from warpwatch.sweep import (
     CASE_TYPES,
     DOMAINS,
@@ -22,7 +28,7 @@ from warpwatch.sweep import (
     summarize_parameter,
 )
 from warpwatch.testkit import Lcg
-from warpwatch.timeseries import DateIndexedSeries
+from warpwatch.timeseries import DateIndexedSeries, align_ranges, minmax_normalize
 
 START = date(2020, 3, 16)
 
@@ -151,7 +157,8 @@ class TestRunSweep:
 
     def test_stages_are_shared_across_the_full_lattice(self, monkeypatch):
         panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        calls = {"corr": [], "metric": [], "dtw": 0}
+        cases = make_cases()
+        calls = {"corr": [], "metric": [], "dtw": []}
 
         def counting_corr(panel, window, _inner=sweep.correlation_matrix_sequence):
             calls["corr"].append((id(panel), window))
@@ -162,20 +169,36 @@ class TestRunSweep:
             return _inner(stack, first, kind, theta)
 
         def counting_dtw(x, y, band, _inner=sweep.dtw):
-            calls["dtw"] += 1
+            calls["dtw"].append((band.radius, x, y))
             return _inner(x, y, band)
 
         monkeypatch.setattr(sweep, "correlation_matrix_sequence", counting_corr)
         monkeypatch.setattr(sweep, "metric_series_from_matrices", counting_metric)
         monkeypatch.setattr(sweep, "dtw", counting_dtw)
-        results = run_sweep(panels, make_cases())
+        results = run_sweep(panels, cases)
         assert len(results) == 320 and all(r.ok for r in results)
         # once per (preprocess, window) and once per (metric, preprocess, threshold, window)
         assert sorted(calls["corr"]) == sorted(
             {(id(panels[p]), w) for p in Preprocess for w in (15, 30)}
         )
         assert len(calls["metric"]) == len(set(calls["metric"])) == 32
-        assert calls["dtw"] == 320
+        # one stacked call per (window, radius); together the stacks hold each
+        # configuration's aligned (case, metric) pair exactly once
+        assert len(calls["dtw"]) == 10
+        stacked = Counter(
+            (radius, x.tobytes(), y.tobytes())
+            for radius, xs, ys in calls["dtw"]
+            for x, y in zip(xs, ys)
+        )
+        stacks = {(p, w): correlation_matrix_sequence(panels[p], w) for p in Preprocess for w in (15, 30)}
+        expected = Counter()
+        for cfg in enumerate_configs():
+            stack = stacks[cfg.preprocess, cfg.window]
+            first = START + timedelta(days=cfg.window - 1)
+            metric = metric_series_from_matrices(stack, first, cfg.metric, cfg.threshold).series
+            case, metric = align_ranges(minmax_normalize(cases[cfg.case_type]), metric)
+            expected[cfg.radius, case.values.tobytes(), metric.values.tobytes()] += 1
+        assert stacked == expected
 
     def test_case_error_wins_over_missing_panel(self):
         panels = {Preprocess.RESCALE: make_panel(seed=1)}
