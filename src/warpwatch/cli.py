@@ -209,7 +209,7 @@ def _cmd_dtw(args) -> int:
     # sanity: the two series must refer to a common period, but DTW runs on
     # the full series, so a length gap beyond the radius is still infeasible
     align_ranges(case, metric)
-    band = BandSpec.sakoe_chiba(args.radius) if args.radius is not None else BandSpec.unconstrained()
+    band = BandSpec(args.radius)
     # the values scored are the values alignment.csv reports
     x = minmax_normalize(case) if args.normalize else case
     result = dtw(x.values, metric.values, band)

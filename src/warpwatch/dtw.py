@@ -39,17 +39,6 @@ class BandSpec:
         if self.radius is not None and (not isinstance(self.radius, int) or self.radius < 0):
             raise ValueError(f"radius must be a nonnegative integer, got {self.radius!r}")
 
-    @classmethod
-    def unconstrained(cls) -> "BandSpec":
-        return cls(None)
-
-    @classmethod
-    def sakoe_chiba(cls, radius: int) -> "BandSpec":
-        return cls(radius)
-
-    def admits(self, i: int, j: int) -> bool:
-        return self.radius is None or abs(i - j) <= self.radius
-
 
 @dataclass(frozen=True)
 class DtwResult:
@@ -74,7 +63,7 @@ def dtw(x: np.typing.ArrayLike, y: np.typing.ArrayLike, band: BandSpec | None = 
     input, and on a single pair's overflowing distance; LengthMismatchError
     on stacks of unequal height; BandInfeasibleError when |N - M| > radius.
     """
-    band = band or BandSpec.unconstrained()
+    band = band or BandSpec()
     stacked = np.ndim(x) == 2
     xs = read_only_array(x, 2 if stacked else 1)
     xs, ys = np.atleast_2d(xs, read_only_array(y, xs.ndim))

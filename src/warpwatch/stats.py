@@ -1,104 +1,76 @@
 """Rank statistics for the parameter sweep: Kruskal-Wallis H and its p-value.
 
-The chi-square survival function is computed from the regularized upper
-incomplete gamma function, dependency-free: a power series on one side
-of the domain split and a Lentz continued fraction on the other. Both
-meet 1e-10 absolute error comfortably for dof <= 10 and x <= 200.
+One pass over the sorted values gives both the average ranks and the tie
+sum. The chi-square survival function is the exact closed form for an
+integer number of degrees of freedom, dependency-free: dof // 2 terms
+exp(-s) s^k / Gamma(k + 1), plus erfc for odd dof.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
-from .errors import DegenerateGroupsError
+from .errors import DegenerateGroupsError, NonFiniteValueError
 
-_EPS = 1e-15
-_MAX_ITER = 500
-_TINY = 1e-300
+
+def _ranks_and_ties(values: Sequence[float]) -> tuple[list[float], int]:
+    """Average ranks (ties share theirs) and the tie sum over runs of t equal values, sum(t^3 - t)."""
+    values = [float(v) for v in values]
+    if not values:
+        raise DegenerateGroupsError("cannot rank an empty sequence")
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"cannot rank non-finite value {v!r}")
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    tie_sum = 0
+    start = 0
+    for _, run in itertools.groupby(order, key=values.__getitem__):
+        run = list(run)
+        t = len(run)
+        # positions start..start+t-1 (0-based) share the average of ranks start+1..start+t
+        avg = (2 * start + t + 1) / 2.0
+        for k in run:
+            ranks[k] = avg
+        tie_sum += t ** 3 - t
+        start += t
+    return ranks, tie_sum
 
 
 def rank_with_ties(values: Sequence[float]) -> list[float]:
     """Ascending ranks with ties sharing their average rank.
 
-    Ranks always sum to n (n + 1) / 2.
+    Ranks always sum to n (n + 1) / 2. Raises DegenerateGroupsError on
+    empty input and NonFiniteValueError on a NaN or infinite value.
     """
-    if not values:
-        raise DegenerateGroupsError("cannot rank an empty sequence")
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        avg = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by power series; x < a + 1."""
-    if x == 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by Lentz continued fraction; x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), the normalized upper incomplete gamma integral."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    return _ranks_and_ties(values)[0]
 
 
 def chi_square_sf(x: float, dof: int) -> float:
-    """Survival function of the chi-square distribution: Q(dof / 2, x / 2)."""
-    if dof < 1:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    if x < 0.0:
+    """Survival function of the chi-square distribution with integer ``dof``.
+
+    With s = x / 2, it is exp(-s) sum_{i < dof/2} s^i / i! for even dof,
+    and erfc(sqrt(s)) + exp(-s) sum_{i=1}^{(dof-1)/2} s^(i-1/2) / Gamma(i+1/2)
+    for odd dof. Each term is taken in log space, so none overflows and
+    exp(-s) underflowing on its own does not zero a large dof's sum; a
+    sum that rounds above 1 reads 1.
+    """
+    if not float(dof).is_integer() or dof < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {dof}")
+    if not x >= 0.0:
         raise ValueError(f"statistic must be nonnegative, got {x}")
-    return regularized_gamma_q(dof / 2.0, x / 2.0)
+    if x == math.inf:
+        return 0.0
+    s = x / 2.0
+    if s == 0.0:
+        return 1.0
+    total = math.erfc(math.sqrt(s)) if dof % 2 else 0.0
+    for i in range(int(dof) // 2):
+        k = i + (dof % 2) / 2.0  # s's exponent: i, or (i + 1) - 1/2 in the odd sum's indexing
+        total += math.exp(k * math.log(s) - s - math.lgamma(k + 1.0))
+    return min(total, 1.0)
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -107,7 +79,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     When every pooled value is identical the tie correction vanishes;
     H is defined as 0 and p as 1 rather than erroring. Structural
     violations (fewer than two groups, an empty group, fewer than three
-    values overall) raise DegenerateGroupsError.
+    values overall) raise DegenerateGroupsError, and a NaN or infinite
+    value raises NonFiniteValueError.
     """
     if len(groups) < 2:
         raise DegenerateGroupsError(f"need at least 2 groups, got {len(groups)}")
@@ -118,8 +91,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     if n < 3:
         raise DegenerateGroupsError(f"need at least 3 values overall, got {n}")
 
-    pooled: list[float] = [float(v) for g in groups for v in g]
-    ranks = rank_with_ties(pooled)
+    ranks, tie_sum = _ranks_and_ties([v for g in groups for v in g])
 
     h = 0.0
     pos = 0
@@ -129,11 +101,6 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         pos += size
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
 
-    # multiplicities of tied values
-    counts: dict[float, int] = {}
-    for v in pooled:
-        counts[v] = counts.get(v, 0) + 1
-    tie_sum = sum(t ** 3 - t for t in counts.values())
     correction = 1.0 - tie_sum / (n ** 3 - n)
     if correction == 0.0:
         return 0.0, 1.0

@@ -181,7 +181,7 @@ def run_sweep(
         for stack in stacks.values():
             indices, xs, ys = zip(*stack)
             try:
-                distances = dtw(xs, ys, BandSpec.sakoe_chiba(radius)).tolist()
+                distances = dtw(xs, ys, BandSpec(radius)).tolist()
             except WarpwatchError as exc:
                 for index in indices:
                     fail(index, exc)

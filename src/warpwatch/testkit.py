@@ -53,8 +53,13 @@ class SyntheticScenario:
             raise ValueError(f"length must be at least 2, got {self.length}")
         if not 0 <= self.lag < self.length:
             raise ValueError(f"lag must satisfy 0 <= lag < length, got {self.lag}")
-        if self.noise_amplitude < 0:
-            raise ValueError(f"noise amplitude must be nonnegative, got {self.noise_amplitude}")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
+
+
+def admits(band: BandSpec, i: int, j: int) -> bool:
+    """Whether ``band`` lets a warping path through cell (i, j)."""
+    return band.radius is None or abs(i - j) <= band.radius
 
 
 def brute_force_dtw(x, y, band: BandSpec | None = None) -> float:
@@ -63,8 +68,7 @@ def brute_force_dtw(x, y, band: BandSpec | None = None) -> float:
     Exponential on purpose; inputs are capped at length 8. Raises
     BandInfeasibleError when the band admits no complete path.
     """
-    if band is None:
-        band = BandSpec.unconstrained()
+    band = band or BandSpec()
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if not xs or not ys:
@@ -75,7 +79,7 @@ def brute_force_dtw(x, y, band: BandSpec | None = None) -> float:
     best = [math.inf]
 
     def walk(i: int, j: int, cost: float) -> None:
-        if not band.admits(i, j):
+        if not admits(band, i, j):
             return
         cost += abs(xs[i] - ys[j])
         if i == n - 1 and j == m - 1:

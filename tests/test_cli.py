@@ -660,5 +660,24 @@ class TestEntryPoint:
         )
         assert bad.returncode == 2
 
+    def test_full_sweep_does_not_import_scipy(self, tmp_path, sweep_inputs):
+        # scipy is a test-only dependency: the Kruskal-Wallis p-values must not need it
+        src = str(Path(warpwatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys; from warpwatch.cli import main; code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)"
+        out = tmp_path / "sweep"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "--segments", sweep_inputs.segments,
+             "--weekly", sweep_inputs.weekly, "--linelist", sweep_inputs.linelist,
+             "--region", "NCR", "--province", "NCR", "--outdir", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        report = json.loads((out / "parameter_report.json").read_text(encoding="utf-8"))
+        assert all(0.0 <= entry["p_value"] <= 1.0 for entry in report["parameters"].values())
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run("frobnicate") == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpwatch.errors import DegenerateGroupsError
+from warpwatch.errors import DegenerateGroupsError, NonFiniteValueError
 from warpwatch.stats import chi_square_sf, kruskal_wallis, rank_with_ties
 
 value_lists = st.lists(
@@ -30,6 +30,15 @@ class TestRankWithTies:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateGroupsError):
             rank_with_ties([])
+
+    def test_ndarray_input(self):
+        ranks = rank_with_ties(np.array([3.0, 1.0, 1.0]))
+        assert type(ranks) is list and ranks == [3.0, 1.5, 1.5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError, match=f"non-finite value {bad!r}"):
+            rank_with_ties([1.0, bad, 2.0])
 
     @given(value_lists)
     @settings(max_examples=200, deadline=None)
@@ -78,6 +87,23 @@ class TestChiSquareSf:
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
 
+    def test_infinite_statistic(self):
+        for dof in range(1, 11):
+            assert chi_square_sf(math.inf, dof) == 0.0
+
+    def test_statistic_whose_half_underflows(self):
+        for dof in range(1, 11):
+            assert chi_square_sf(5e-324, dof) == 1.0
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="statistic must be nonnegative, got nan"):
+            chi_square_sf(math.nan, 2)
+
+    @pytest.mark.parametrize("dof", [2.5, math.nan, math.inf])
+    def test_non_integral_dof_rejected(self, dof):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            chi_square_sf(3.0, dof)
+
 
 class TestKruskalWallis:
     def test_symmetric_duplicate_groups(self):
@@ -107,6 +133,11 @@ class TestKruskalWallis:
             sum(ranks_a) ** 2 / 3 + sum(ranks_b) ** 2 / 3
         ) - 3 * (n + 1)
         assert h_tied == pytest.approx(raw / correction, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            kruskal_wallis([[1.0, bad], [3.0, 4.0]])
 
     def test_structural_errors(self):
         with pytest.raises(DegenerateGroupsError):
@@ -190,3 +221,11 @@ class TestScipyCrossCheck:
             for x in range(0, 201):
                 expected = stats.chi2.sf(x, dof)
                 assert chi_square_sf(float(x), dof) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_chi_square_sf_large_dof_matches_scipy(self):
+        # exp(-x/2) underflows past x = 1490, yet the sum for a dof near x is not small
+        stats = pytest.importorskip("scipy.stats")
+        for dof in (11, 50, 201, 2000):
+            for ratio in (0.25, 0.9, 1.0, 1.1, 2.0):
+                expected = stats.chi2.sf(dof * ratio, dof)
+                assert chi_square_sf(dof * ratio, dof) == pytest.approx(expected, rel=1e-11, abs=1e-14)

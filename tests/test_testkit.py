@@ -5,6 +5,7 @@ from warpwatch.errors import BandInfeasibleError, TooLargeError
 from warpwatch.testkit import (
     Lcg,
     SyntheticScenario,
+    admits,
     brute_force_dtw,
     graph_metric_oracle,
     synth_pair,
@@ -21,11 +22,16 @@ class TestBruteForceDtw:
 
     def test_infeasible_band(self):
         with pytest.raises(BandInfeasibleError):
-            brute_force_dtw((1, 2), (1, 2, 3, 4, 5, 6), BandSpec.sakoe_chiba(1))
+            brute_force_dtw((1, 2), (1, 2, 3, 4, 5, 6), BandSpec(1))
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             brute_force_dtw(tuple(range(9)), (1, 2))
+
+    def test_admits(self):
+        band = BandSpec(2)
+        assert admits(band, 5, 7) and not admits(band, 5, 8)
+        assert admits(BandSpec(), 0, 99)
 
 
 class TestGraphMetricOracle:
@@ -90,13 +96,18 @@ class TestSynthPair:
 
     def test_wide_band_recovers_lag_better_than_narrow(self):
         case, metric = synth_pair(SyntheticScenario(length=100, lag=10, noise_amplitude=0.0, seed=0))
-        wide = dtw(case.values, metric.values, BandSpec.sakoe_chiba(10)).distance
-        narrow = dtw(case.values, metric.values, BandSpec.sakoe_chiba(5)).distance
+        wide = dtw(case.values, metric.values, BandSpec(10)).distance
+        narrow = dtw(case.values, metric.values, BandSpec(5)).distance
         assert wide < narrow
 
     def test_lag_must_fit(self):
         with pytest.raises(ValueError):
             SyntheticScenario(length=10, lag=10)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {noise}"):
+            SyntheticScenario(length=10, noise_amplitude=noise)
 
 
 class TestOracleAgreement:
@@ -108,7 +119,7 @@ class TestOracleAgreement:
             x = [float(int(rng.next_float() * 4)) for _ in range(n)]
             y = [float(int(rng.next_float() * 4)) for _ in range(m)]
             for radius in (None, 0, 1, 2):
-                band = BandSpec.unconstrained() if radius is None else BandSpec.sakoe_chiba(radius)
+                band = BandSpec(radius)
                 try:
                     expected = brute_force_dtw(x, y, band)
                 except BandInfeasibleError:
