@@ -19,7 +19,6 @@ from .network import (
     NetworkMetricSeries,
     clustering_coefficient,
     distance_correlation,
-    metric_series,
     network_density,
     threshold_graph,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "threshold_graph",
     "network_density",
     "clustering_coefficient",
-    "metric_series",
     "LineListRecord",
     "CaseSeries",
     "CaseKind",

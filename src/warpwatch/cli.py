@@ -24,7 +24,7 @@ from . import __version__
 from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
 from .dtw import BandSpec, dtw
 from .errors import BandInfeasibleError, CoverageError, ParseError, UsageError, WarpwatchError
-from .network import KeywordPanel, MetricKind, metric_series
+from .network import KeywordPanel, MetricKind, correlation_matrix_sequence, metric_series_from_matrices
 from .sweep import (
     DOMAINS,
     METRICS,
@@ -180,7 +180,9 @@ def _cmd_metrics(args) -> int:
         raise UsageError(f"--threshold must lie in (0, 1], got {args.threshold}")
     panel = _load_panel(args.panel_dir)
     manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
-    result = metric_series(panel, MetricKind(args.metric), args.threshold, args.window)
+    first = panel.start_date + timedelta(days=args.window - 1)
+    matrices = correlation_matrix_sequence(panel, args.window)
+    result = metric_series_from_matrices(matrices, first, MetricKind(args.metric), args.threshold)
     out = _outdir(args)
     write_series_csv(result.series, str(out / "metric.csv"), _preamble(manifest))
     print(f"wrote {len(result.series)} {args.metric} values to {out / 'metric.csv'}")

@@ -36,7 +36,7 @@ class DuplicateDateError(WarpwatchError):
 
 
 class NonFiniteValueError(WarpwatchError):
-    """A NaN or infinite value was offered where only finite values are defined."""
+    """A NaN or infinite value was offered, or arose by overflow, where only finite values are defined."""
 
 
 class DegenerateRangeError(WarpwatchError):

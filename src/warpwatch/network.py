@@ -20,10 +20,14 @@ from .errors import (
     CoverageError,
     InsufficientHistoryError,
     LengthMismatchError,
+    NonFiniteValueError,
     TooFewNodesError,
     WindowTooShortError,
 )
 from .timeseries import DateIndexedSeries, read_only_array
+
+# centred float64 elements per chunk of days in correlation_matrix_sequence: 256 KiB, about 1 MB working memory
+_CHUNK_ELEMENTS = 2**15
 
 
 class MetricKind(str, Enum):
@@ -92,19 +96,24 @@ class NetworkMetricSeries:
             raise ValueError(f"metric value {float(values[outside][0])} outside [0, 1]")
 
 
-def _centered(values: np.ndarray) -> np.ndarray:
-    """Double-centred ``(..., w, w)`` distance matrices of a ``(..., w)`` stack of windows."""
-    d = np.abs(values[..., :, None] - values[..., None, :])
-    col_mean, row_mean = d.mean(axis=-2)[..., None, :], d.mean(axis=-1)[..., :, None]
-    return d - col_mean - row_mean + d.mean(axis=(-2, -1))[..., None, None]
+def _centered(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double-centred distance matrices of a ``(..., w)`` stack of windows, each
+    flattened to ``w * w``, and their distance variances, which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(windows[..., :, None] - windows[..., None, :])
+        col_mean, row_mean = d.mean(axis=-2)[..., None, :], d.mean(axis=-1)[..., :, None]
+        a = (d - col_mean - row_mean + d.mean(axis=(-2, -1))[..., None, None]).reshape(*windows.shape[:-1], -1)
+        dvar = (a * a).mean(axis=-1)
+    if not np.isfinite(dvar).all():
+        raise NonFiniteValueError("a window holds a NaN or infinite value, or differences beyond float64")
+    return a, dvar
 
 
-def _dcor_ratio(dcov2: float, dvarx2: float, dvary2: float) -> float:
-    """The clamped dCor ratio, with ``distance_correlation``'s zero-variance rule."""
-    if dvarx2 <= 0.0 or dvary2 <= 0.0:
-        return 0.0
-    r = np.sqrt(max(dcov2, 0.0)) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
-    return float(min(1.0, max(0.0, r)))
+@np.errstate(divide="ignore", invalid="ignore")
+def _dcor_ratio(dcov2: np.ndarray, dvarx2: np.ndarray, dvary2: np.ndarray) -> np.ndarray:
+    """The dCor ratio clamped to [0, 1], elementwise; 0 where either distance variance is 0."""
+    r = np.sqrt(np.maximum(dcov2, 0.0)) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
+    return np.where((dvarx2 > 0.0) & (dvary2 > 0.0), np.clip(r, 0.0, 1.0), 0.0)
 
 
 def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -116,20 +125,19 @@ def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     distance variances follow the same recipe against themselves. A
     window with zero distance variance on either side yields 0 by
     convention: constant interest carries no association signal. The
-    final ratio is clamped to [0, 1] to absorb rounding dust. The
-    centring and ratio helpers are those of ``correlation_matrix_sequence``.
+    final ratio is clamped to [0, 1] to absorb rounding dust. The centring
+    and ratio helpers are those of ``correlation_matrix_sequence``, so
+    non-finite input or differences raise NonFiniteValueError.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1:
         raise ValueError("inputs must be 1-dimensional")
     if len(xs) != len(ys):
         raise LengthMismatchError(f"window lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise WindowTooShortError(f"need at least 2 observations, got {len(xs)}")
-    a = _centered(xs)
-    b = _centered(ys)
-    return _dcor_ratio(float((a * b).mean()), float((a * a).mean()), float((b * b).mean()))
+    a, dvar = _centered(np.stack([xs, ys]))
+    return float(_dcor_ratio((a[0] * a[1]).mean(), dvar[0], dvar[1]))
 
 
 def threshold_graph(matrices: np.ndarray, theta: float) -> np.ndarray:
@@ -175,10 +183,10 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
     day (window - 1) onward; day t's matrix covers [t - window + 1, t],
     day t included, and is symmetric with ones on the diagonal.
 
-    Each keyword's window is double-centred once per day and every pair
-    reuses it; each entry equals ``distance_correlation`` on the pair's
-    windows bit for bit. This is the expensive intermediate; the sweep
-    reuses one sequence across every threshold and metric choice.
+    Days go in chunks of ``_CHUNK_ELEMENTS`` centred float64 elements, each
+    keyword-day window centred once; keyword i's entries are one mean over
+    the last axis against keywords i+1.., so each equals ``distance_correlation``
+    bit for bit. A non-finite distance variance raises NonFiniteValueError.
     """
     if window < 2:
         raise WindowTooShortError(f"a {window}-day window is too short; need at least 2 days")
@@ -187,15 +195,15 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
             f"panel of {len(panel)} days cannot support a {window}-day window"
         )
     n = panel.n_keywords
-    # matrix d covers panel offsets [d, d + window); diagonal entries are 1
-    matrices = np.tile(np.eye(n), (len(panel) - window + 1, 1, 1))
-    for day, matrix in enumerate(matrices):
-        a = _centered(panel.values[:, day : day + window])
-        dvar = [float((a_i * a_i).mean()) for a_i in a]
-        for i in range(n):
-            for j in range(i + 1, n):
-                dcov2 = float((a[i] * a[j]).mean())
-                matrix[i, j] = matrix[j, i] = _dcor_ratio(dcov2, dvar[i], dvar[j])
+    windows = np.lib.stride_tricks.sliding_window_view(panel.values, window, axis=1).swapaxes(0, 1)
+    matrices = np.ones((len(windows), n, n))
+    step = max(1, _CHUNK_ELEMENTS // (n * window * window))
+    for start in range(0, len(windows), step):
+        a, dvar = _centered(windows[start : start + step])
+        chunk = matrices[start : start + step]
+        for i in range(n - 1):
+            dcov2 = (a[:, i : i + 1] * a[:, i + 1 :]).mean(axis=-1)
+            chunk[:, i, i + 1 :] = chunk[:, i + 1 :, i] = _dcor_ratio(dcov2, dvar[:, i : i + 1], dvar[:, i + 1 :])
     matrices.flags.writeable = False
     return matrices
 
@@ -211,11 +219,3 @@ def metric_series_from_matrices(
     values = metric(threshold_graph(matrices, theta))
     return NetworkMetricSeries(metric_kind, DateIndexedSeries(first_date, values))
 
-
-def metric_series(
-    panel: KeywordPanel, metric_kind: MetricKind, theta: float, window: int
-) -> NetworkMetricSeries:
-    """One metric value per day from (panel start + window - 1) onward."""
-    matrices = correlation_matrix_sequence(panel, window)
-    first = panel.start_date + timedelta(days=window - 1)
-    return metric_series_from_matrices(matrices, first, metric_kind, theta)

@@ -317,6 +317,21 @@ class TestMetrics:
         assert code == 2
         assert "'masks' covers [2020-03-16, 2020-04-23]" in capsys.readouterr().err
 
+    def test_overflowing_panel_exits_2_with_one_error_line(self, tmp_path, capsys):
+        panel = tmp_path / "panel"
+        panel.mkdir()
+        values = tuple(1e308 * (-1) ** v for v in range(40))
+        for name in ("a", "b"):
+            write_series_csv(DateIndexedSeries(MAR16, values), str(panel / f"{name}.csv"))
+        code = run(
+            "metrics", "--panel-dir", panel, "--metric", "density",
+            "--threshold", 0.5, "--window", 15, "--outdir", tmp_path / "metrics",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: a window holds a NaN or infinite value, or differences beyond float64\n"
+        assert not (tmp_path / "metrics" / "metric.csv").exists()
+
 
 class TestCases:
     def test_confirmed_and_active_share_range(self, tmp_path, sweep_inputs):

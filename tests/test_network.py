@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpwatch import network
 from warpwatch.errors import (
     CoverageError,
     InsufficientHistoryError,
     LengthMismatchError,
+    NonFiniteValueError,
     TooFewNodesError,
     WindowTooShortError,
 )
@@ -19,7 +22,6 @@ from warpwatch.network import (
     clustering_coefficient,
     correlation_matrix_sequence,
     distance_correlation,
-    metric_series,
     metric_series_from_matrices,
     network_density,
     threshold_graph,
@@ -52,6 +54,33 @@ def tied_panel_and_window(draw):
     rows[0][zero_from:zero_to] = [0.0] * (zero_to - zero_from)
     rows[-1] = [draw(cell)] * days
     return panel_of(rows), draw(st.integers(min_value=2, max_value=days))
+
+
+@st.composite
+def chunked_panel_window_and_step(draw):
+    """A tied panel with at least 3 days of matrices, and a chunk of 1 to
+    days - 1 days that leaves a remainder chunk."""
+    p, window = draw(tied_panel_and_window().filter(lambda pw: len(pw[0]) - pw[1] >= 2))
+    days = len(p) - window + 1
+    step = draw(st.integers(min_value=1, max_value=days - 1).filter(lambda s: days % s))
+    return p, window, step
+
+
+def per_pair_oracle(p, window):
+    days = len(p) - window + 1
+    expected = np.tile(np.eye(p.n_keywords), (days, 1, 1))
+    for day in range(days):
+        w = p.values[:, day : day + window]
+        for i in range(p.n_keywords):
+            for j in range(i + 1, p.n_keywords):
+                expected[day, i, j] = expected[day, j, i] = distance_correlation(w[i], w[j])
+    return expected
+
+
+def metric_of(p, kind, theta, window):
+    """The metrics subcommand's two calls: the correlation stack, then one metric per day."""
+    matrices = correlation_matrix_sequence(p, window)
+    return metric_series_from_matrices(matrices, p.start_date + timedelta(days=window - 1), kind, theta)
 
 
 def panel_of(series_values, start=START):
@@ -96,6 +125,17 @@ class TestDistanceCorrelation:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
             distance_correlation((1,), (2,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            distance_correlation((bad, 1.0, 2.0), (1.0, 2.0, 3.0))
+        with pytest.raises(NonFiniteValueError):
+            distance_correlation((1.0, 2.0, 3.0), (1.0, bad, 3.0))
+
+    def test_overflowing_differences_rejected(self):
+        with pytest.raises(NonFiniteValueError, match="differences beyond float64"):
+            distance_correlation((1e308, -1e308, 0.0), (1.0, 2.0, 3.0))
 
     @given(vectors, vectors)
     @settings(max_examples=150, deadline=None)
@@ -167,6 +207,38 @@ class TestCorrelationMatrixAt:
                 for j in range(i + 1, p.n_keywords):
                     expected[day, i, j] = expected[day, j, i] = distance_correlation(w[i], w[j])
         assert np.array_equal(correlation_matrix_sequence(p, window), expected)
+
+    @given(chunked_panel_window_and_step())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_stack_equals_per_pair_oracle_bit_for_bit(self, panel_window_and_step):
+        p, window, step = panel_window_and_step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_CHUNK_ELEMENTS", step * p.n_keywords * window * window)
+            matrices = correlation_matrix_sequence(p, window)
+        assert np.array_equal(matrices, per_pair_oracle(p, window))
+
+    def test_overflowing_panel_rejected(self):
+        p = panel_of([[1e308 * (-1) ** t for t in range(30)], range(30)])
+        with pytest.raises(NonFiniteValueError, match="differences beyond float64"):
+            correlation_matrix_sequence(p, window=15)
+
+    def test_working_memory_is_bounded_and_flat_in_days(self):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0, 100, (15, 365))
+
+        def peak_beyond_result(days):
+            p = KeywordPanel(tuple(f"kw{k}" for k in range(15)), START, values[:, :days])
+            tracemalloc.start()
+            try:
+                matrices = correlation_matrix_sequence(p, 30)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - matrices.nbytes
+
+        long, short = peak_beyond_result(365), peak_beyond_result(120)
+        assert long < 2 * 2**20
+        assert long <= short + 2**16
 
 
 class TestThresholdGraph:
@@ -274,13 +346,13 @@ class TestMetricSeries:
         values = [math.sin(t / 9.0) * 40 + 50 for t in range(366)]
         shifted = [math.cos(t / 11.0) * 40 + 50 for t in range(366)]
         p = panel_of([values, shifted])
-        out = metric_series(p, MetricKind.DENSITY, theta=0.5, window=15)
+        out = metric_of(p, MetricKind.DENSITY, theta=0.5, window=15)
         assert len(out.series) == 352
         assert out.series.start_date == START + timedelta(days=14)
 
     def test_window_equal_to_panel_length(self):
         p = panel_of([range(30), [v * 3 + 1 for v in range(30)]])
-        out = metric_series(p, MetricKind.CLUSTERING, theta=0.5, window=30)
+        out = metric_of(p, MetricKind.CLUSTERING, theta=0.5, window=30)
         assert len(out.series) == 1
 
     def test_matrix_sequence_is_one_read_only_stack(self):
@@ -306,19 +378,19 @@ class TestMetricSeries:
 
     def test_identical_series_give_constant_density_one(self):
         p = panel_of([range(40), range(40), range(40)])
-        out = metric_series(p, MetricKind.DENSITY, theta=0.9, window=15)
+        out = metric_of(p, MetricKind.DENSITY, theta=0.9, window=15)
         assert set(out.series.values) == {1.0}
 
     def test_insufficient_panel(self):
         p = panel_of([range(10), range(10, 20)])
         with pytest.raises(InsufficientHistoryError):
-            metric_series(p, MetricKind.DENSITY, theta=0.5, window=15)
+            metric_of(p, MetricKind.DENSITY, theta=0.5, window=15)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(7)
         p = panel_of([rng.uniform(0, 100, 50) for _ in range(4)])
         for kind in MetricKind:
-            out = metric_series(p, kind, theta=0.5, window=15)
+            out = metric_of(p, kind, theta=0.5, window=15)
             assert all(0.0 <= v <= 1.0 for v in out.series.values)
 
 
