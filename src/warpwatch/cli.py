@@ -37,7 +37,6 @@ from .sweep import (
     parameter_reports,
     run_sweep,
 )
-from .testkit import SyntheticScenario, synth_pair
 from .timeseries import (
     DateIndexedSeries,
     align_ranges,
@@ -365,6 +364,7 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--lag must satisfy 0 <= lag < length, got {args.lag}")
     if not (math.isfinite(args.noise) and args.noise >= 0):
         raise UsageError(f"--noise must be finite and nonnegative, got {args.noise}")
+    from .testkit import SyntheticScenario, synth_pair  # only synth needs the test kit
     scenario = SyntheticScenario(
         length=args.length,
         lag=args.lag,

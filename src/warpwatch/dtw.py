@@ -87,22 +87,21 @@ def dtw(x: np.typing.ArrayLike, y: np.typing.ArrayLike, band: BandSpec | None = 
     acc[1, :, 0] = 0.0
     planes = list(acc)
     y_reversed = ys[:, ::-1].copy()  # column j of ys is column m - 1 - j here
-    # candidates[:, :, q] are the (diagonal, up, left) predecessors of row lo[d] + q
-    candidates = np.empty((3, k, max(h - l for l, h in zip(lo, hi)) + 1))
-    pair, offset = np.arange(k)[:, None], np.arange(candidates.shape[2])
     with np.errstate(over="ignore"):
         for d in diagonals:
             a, b, c = lo[d], hi[d] + 1, m - 1 - d
             before, prev, row = planes[(d + 1) % 3], planes[(d + 2) % 3], planes[d % 3]
-            cand = candidates[:, :, : b - a]
-            cand[0], cand[1], cand[2] = before[:, a:b], prev[:, a:b], prev[:, a + 1 : b + 1]
-            step = cand.argmin(axis=0)  # the first minimum wins ties
-            best = cand[step, pair, offset[: b - a]]
+            # the cheapest of the (diagonal, up, left) predecessors of rows a..b-1
+            diag, up, left = before[:, a:b], prev[:, a:b], prev[:, a + 1 : b + 1]
+            best = np.minimum(np.minimum(diag, up), left)
             # rows of diagonal d - 3 below this diagonal's band revert to +inf
             row[:, lo[d - 3] + 1 if d >= 3 else 0 : a + 1] = np.inf
             np.add(np.abs(xs[:, a:b] - y_reversed[:, c + a : c + b]), best, out=row[:, a + 1 : b + 1])
             if steps is not None:
-                steps[starts[d] : starts[d + 1]] = step[0]
+                # the first predecessor equal to best (costs are never NaN) wins
+                # ties; summed in int8, since bool + bool would be a logical or
+                s = (diag[0] != best[0]).view(np.int8)
+                steps[starts[d] : starts[d + 1]] = s + (s & (up[0] != best[0]))
     distances = acc[(n + m - 2) % 3, :, n].copy()
     if stacked:
         return distances

@@ -102,7 +102,12 @@ def _centered(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.abs(windows[..., :, None] - windows[..., None, :])
         col_mean, row_mean = d.mean(axis=-2)[..., None, :], d.mean(axis=-1)[..., :, None]
-        a = (d - col_mean - row_mean + d.mean(axis=(-2, -1))[..., None, None]).reshape(*windows.shape[:-1], -1)
+        grand_mean = d.mean(axis=(-2, -1))[..., None, None]
+        # in place, so a chunk needs no second buffer; this order fixes the rounding
+        d -= col_mean
+        d -= row_mean
+        d += grand_mean
+        a = d.reshape(*windows.shape[:-1], -1)
         dvar = (a * a).mean(axis=-1)
     if not np.isfinite(dvar).all():
         raise NonFiniteValueError("a window holds a NaN or infinite value, or differences beyond float64")

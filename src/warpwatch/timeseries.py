@@ -104,12 +104,6 @@ class DateIndexedSeries:
     def items(self) -> Iterator[tuple[date, float]]:
         return zip(self.dates(), self.values.tolist())
 
-    def value_on(self, day: date) -> float:
-        idx = (day - self.start_date).days
-        if idx < 0 or idx >= len(self.values):
-            raise KeyError(f"{day.isoformat()} outside [{self.start_date}, {self.end_date}]")
-        return float(self.values[idx])
-
 
 def validate_contiguous(raw_rows: Iterable[tuple[date, float]]) -> DateIndexedSeries:
     """Build a series from (date, value) rows, requiring one unbroken daily run.

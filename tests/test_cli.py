@@ -647,7 +647,7 @@ class TestExitCodes:
         def broken(scenario):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr("warpwatch.cli.synth_pair", broken)
+        monkeypatch.setattr("warpwatch.testkit.synth_pair", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run("synth", "--outdir", tmp_path / "o")
 
@@ -676,10 +676,11 @@ class TestEntryPoint:
         assert bad.returncode == 2
 
     def test_full_sweep_does_not_import_scipy(self, tmp_path, sweep_inputs):
-        # scipy is a test-only dependency: the Kruskal-Wallis p-values must not need it
+        # scipy is a test-only dependency: the Kruskal-Wallis p-values must not need
+        # it; nor does a sweep need the synthetic-data test kit
         src = str(Path(warpwatch.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = "import sys; from warpwatch.cli import main; code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)"
+        script = "import sys; from warpwatch.cli import main; code = main(sys.argv[1:]); print('scipy' in sys.modules or 'warpwatch.testkit' in sys.modules); sys.exit(code)"
         out = tmp_path / "sweep"
         result = subprocess.run(
             [sys.executable, "-c", script, "sweep", "--segments", sweep_inputs.segments,

@@ -21,6 +21,20 @@ small_series = st.lists(
 
 
 @st.composite
+def tied_pairs(draw):
+    """Integer-valued x and y of lengths 1-12 that fit a radius None or 0-4.
+
+    Small integers make ties common, so the path pins the tie-break order.
+    """
+    radius = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    spread = 12 if radius is None else radius
+    m = draw(st.integers(max(1, n - spread), min(12, n + spread)))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    return draw(st.lists(values, min_size=n, max_size=n)), draw(st.lists(values, min_size=m, max_size=m)), radius
+
+
+@st.composite
 def stacked_pairs(draw):
     """k row pairs of lengths n and m (often unequal), integer-valued or real, and a radius."""
     k = draw(st.integers(1, 6))
@@ -42,6 +56,33 @@ def path_is_valid(pairs, n: int, m: int, band: BandSpec) -> bool:
         if (i2 - i1, j2 - j1) not in {(1, 0), (0, 1), (1, 1)}:
             return False
     return all(admits(band, i, j) for i, j in pairs)
+
+
+def full_matrix_dtw(x, y, radius):
+    """Distance and 1-based path from the whole (N+1) x (M+1) DP table.
+
+    Cells outside the band hold +inf. The backtrack takes a predecessor
+    only when it is strictly cheaper than those before it in the order
+    diagonal, up (i-1, j), left (i, j-1), so the first minimum wins ties.
+    """
+    n, m = len(x), len(y)
+    inf = float("inf")
+    acc = [[inf] * (m + 1) for _ in range(n + 1)]
+    acc[0][0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if radius is None or abs(i - j) <= radius:
+                best = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
+                acc[i][j] = abs(x[i - 1] - y[j - 1]) + best
+    i, j, path = n, m, [(n, m)]
+    while (i, j) != (1, 1):
+        step, best = (i - 1, j - 1), acc[i - 1][j - 1]
+        for cell in ((i - 1, j), (i, j - 1)):
+            if acc[cell[0]][cell[1]] < best:
+                step, best = cell, acc[cell[0]][cell[1]]
+        i, j = step
+        path.append(step)
+    return acc[n][m], tuple(reversed(path))
 
 
 def resummed_cost(path, x, y) -> float:
@@ -182,6 +223,13 @@ class TestProperties:
         assert result.distance == pytest.approx(expected, abs=1e-9)
         assert path_is_valid(result.path, len(x), len(y), band)
         assert resummed_cost(result.path, x, y) == pytest.approx(result.distance, abs=1e-9)
+
+    @given(tied_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_break_matches_full_matrix_oracle(self, case):
+        x, y, radius = case
+        result = dtw(x, y, BandSpec(radius))
+        assert (result.distance, result.path) == full_matrix_dtw(x, y, radius)
 
     @given(small_series, small_series)
     @settings(max_examples=150, deadline=None)

@@ -237,7 +237,7 @@ class TestCorrelationMatrixAt:
             return peak - matrices.nbytes
 
         long, short = peak_beyond_result(365), peak_beyond_result(120)
-        assert long < 2 * 2**20
+        assert long < 768 * 2**10
         assert long <= short + 2**16
 
 

@@ -84,12 +84,6 @@ class TestDateIndexedSeries:
         assert series([1, 2]) != series([1, 2, 3])
         assert series([1, 2]) != (1.0, 2.0)
 
-    def test_value_on(self):
-        s = series([5, 6, 7])
-        assert s.value_on(days(1)) == 6
-        with pytest.raises(KeyError):
-            s.value_on(days(3))
-
 
 class TestValidateContiguous:
     def test_identity_on_contiguous_rows(self):

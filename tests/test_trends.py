@@ -155,8 +155,9 @@ class TestRescaleDaily:
         seg2_week = [55.0 / 6.0, 15.0] + [55.0 / 6.0] * 5
         seg2 = segment(7, seg2_week + [10.0] * 23)
         out = rescale_daily([seg1, seg2], weekly([40.0] * 6))
-        assert out.value_on(day(8)) == pytest.approx(50.0, abs=1e-9)
-        assert out.value_on(day(0)) == pytest.approx(40.0)
+        assert out.start_date == day(0)
+        assert out.values[8] == pytest.approx(50.0, abs=1e-9)
+        assert out.values[0] == pytest.approx(40.0)
 
     def test_partial_edge_week_uses_days_present(self):
         # segment starts 3 days into a week: the 4 present days average alone
