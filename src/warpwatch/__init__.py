@@ -10,13 +10,12 @@ Kruskal-Wallis significance tests.
 
 __version__ = "0.1.0"
 
-from .cases import CaseKind, CaseSeries, LineListRecord, active_cases, daily_confirmed, daily_removed, load_linelist
+from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
 from .dtw import BandSpec, DtwResult, dtw
 from .errors import WarpwatchError
 from .network import (
     KeywordPanel,
     MetricKind,
-    NetworkMetricSeries,
     clustering_coefficient,
     distance_correlation,
     network_density,
@@ -55,14 +54,11 @@ __all__ = [
     "rescale_daily",
     "msv_merge",
     "KeywordPanel",
-    "NetworkMetricSeries",
     "MetricKind",
     "distance_correlation",
     "threshold_graph",
     "network_density",
     "clustering_coefficient",
-    "LineListRecord",
-    "CaseSeries",
     "CaseKind",
     "load_linelist",
     "daily_confirmed",

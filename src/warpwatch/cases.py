@@ -13,10 +13,8 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -36,37 +34,17 @@ REQUIRED_COLUMNS = ("RegionRes", "ProvinceRes", "DateRepConf", "DateRepRem")
 
 class CaseKind(str, Enum):
     CONFIRMED = "confirmed"
-    REMOVED = "removed"
     ACTIVE = "active"
 
 
-@dataclass(frozen=True)
-class LineListRecord:
-    """One patient row. Removal-before-confirmation is tolerated: real
-    line lists are dirty and the active-case clamp absorbs it."""
-
-    region_res: str
-    province_res: str
-    date_rep_conf: date
-    date_rep_rem: date | None
-
-
-@dataclass(frozen=True)
-class CaseSeries:
-    """Daily nonnegative integer counts of one kind."""
-
-    kind: CaseKind
-    series: DateIndexedSeries
-
-    def __post_init__(self) -> None:
-        values = self.series.values
-        bad = (values < 0) | (values != np.trunc(values))
-        if bad.any():
-            raise ValueError(f"case counts must be nonnegative integers, got {float(values[bad][0])}")
-
-
-def load_linelist(path: str, region: str, province: str) -> list[LineListRecord]:
+def load_linelist(path: str, region: str, province: str) -> np.ndarray:
     """Parse a line-list CSV keeping only rows matching region and province.
+
+    Returns an ``(n, 2)`` int64 array with one row per kept line, in file
+    order: column 0 holds the confirmation day's ordinal, column 1 the
+    removal day's ordinal, or 0 where there is none. Removal before
+    confirmation is tolerated: real line lists are dirty and the
+    active-case clamp absorbs it.
 
     Extra columns are ignored; the four required ones must be present.
     Blank region or province fields never match the filter. Dates are
@@ -80,13 +58,13 @@ def load_linelist(path: str, region: str, province: str) -> list[LineListRecord]
     rows' distinct dates are parsed. Any other file, and every error,
     goes through the row parser, which alone words the messages.
     """
-    records = None
+    rows = None
     if os.path.getsize(path) >= COLUMNAR_MIN_BYTES:
-        records = _linelist_from_columns(path, region, province)
-    return _linelist_from_rows(path, region, province) if records is None else records
+        rows = _linelist_from_columns(path, region, province)
+    return _linelist_from_rows(path, region, province) if rows is None else rows
 
 
-def _linelist_from_columns(path: str, region: str, province: str) -> list[LineListRecord] | None:
+def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray | None:
     """``load_linelist`` of a plain file whose retained rows are valid; None otherwise."""
     columns = read_plain_columns(path, REQUIRED_COLUMNS)
     if columns is None:
@@ -97,27 +75,20 @@ def _linelist_from_columns(path: str, region: str, province: str) -> list[LineLi
     keep &= bool(region and province)
     confirmed = iso_date_ordinals(columns["DateRepConf"][keep])
     raw_removed = np.char.strip(columns["DateRepRem"][keep])
-    del columns  # frees the loaded table before the records are built
+    del columns  # frees the loaded table before the array is built
     has_removal = raw_removed != b""
     removed = iso_date_ordinals(raw_removed[has_removal])
     if confirmed is None or removed is None:
         return None
-    # key each row by its two day ordinals (0: no removal); rows with the
-    # same key share one record, as records are immutable
-    span = date.max.toordinal() + 1
-    keys = confirmed.astype(np.int64) * span
-    keys[has_removal] += removed
-    keys, inverse = np.unique(keys, return_inverse=True)
-    distinct = []
-    for key in keys.tolist():
-        conf, rem = divmod(key, span)
-        distinct.append(LineListRecord(region, province, date.fromordinal(conf), date.fromordinal(rem) if rem else None))
-    return [distinct[i] for i in inverse.ravel().tolist()]
+    rows = np.zeros((len(confirmed), 2), dtype=np.int64)
+    rows[:, 0] = confirmed
+    rows[has_removal, 1] = removed
+    return rows
 
 
-def _linelist_from_rows(path: str, region: str, province: str) -> list[LineListRecord]:
+def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:
     """``load_linelist`` one CSV row at a time, with line-numbered errors."""
-    records: list[LineListRecord] = []
+    rows: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -145,62 +116,61 @@ def _linelist_from_rows(path: str, region: str, province: str) -> list[LineListR
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             raw_rem = row[col["DateRepRem"]].strip()
-            rem: date | None = None
+            rem = 0
             if raw_rem:
                 try:
-                    rem = parse_iso_date(raw_rem)
+                    rem = parse_iso_date(raw_rem).toordinal()
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno) from exc
-            records.append(LineListRecord(reg, prov, conf, rem))
-    return records
+            rows.append((conf.toordinal(), rem))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
-def _zero_filled_counts(
-    days: Sequence[date], start: date, end: date, kind: CaseKind
-) -> CaseSeries:
+def _zero_filled_counts(ordinals: np.ndarray, start: date, end: date) -> DateIndexedSeries:
     length = (end - start).days + 1
     if length < 1:
         raise ValueError(f"invalid range: {start} after {end}")
-    counts = [0] * length
-    for d in days:
-        offset = (d - start).days
-        if 0 <= offset < length:
-            counts[offset] += 1
-    return CaseSeries(kind, DateIndexedSeries(start, counts))
+    # the no-removal sentinel 0 lies before every date, so it never counts
+    offsets = ordinals - start.toordinal()
+    return DateIndexedSeries(start, np.bincount(offsets[(offsets >= 0) & (offsets < length)], minlength=length))
 
 
-def daily_confirmed(records: Sequence[LineListRecord], start: date, end: date) -> CaseSeries:
-    """Count of records confirmed on each day of [start, end], zero-filled."""
-    return _zero_filled_counts([r.date_rep_conf for r in records], start, end, CaseKind.CONFIRMED)
+def daily_confirmed(linelist: np.ndarray, start: date, end: date) -> DateIndexedSeries:
+    """Count of rows confirmed on each day of [start, end], zero-filled."""
+    return _zero_filled_counts(linelist[:, 0], start, end)
 
 
-def daily_removed(records: Sequence[LineListRecord], start: date, end: date) -> CaseSeries:
-    """Count of removals per day; records without a removal date contribute nothing."""
-    days = [r.date_rep_rem for r in records if r.date_rep_rem is not None]
-    return _zero_filled_counts(days, start, end, CaseKind.REMOVED)
+def daily_removed(linelist: np.ndarray, start: date, end: date) -> DateIndexedSeries:
+    """Count of removals per day; rows without a removal date contribute nothing."""
+    return _zero_filled_counts(linelist[:, 1], start, end)
 
 
-def active_cases(confirmed: CaseSeries, removed: CaseSeries) -> CaseSeries:
+def active_cases(confirmed: DateIndexedSeries, removed: DateIndexedSeries) -> DateIndexedSeries:
     """Run A_t = A_{t-1} + C_t - R_t from zero, clamping negatives to 0.
 
-    Each clamped day is logged at WARNING level with the raw value, so
-    truncation artifacts stay visible without breaking the pipeline.
+    Both series must hold nonnegative integer counts (ValueError) over the
+    same days (RangeMismatchError). Each clamped day is logged at WARNING
+    level with the raw value, so truncation artifacts stay visible without
+    breaking the pipeline.
     """
-    cs = confirmed.series
-    rs = removed.series
-    if cs.start_date != rs.start_date or len(cs) != len(rs):
+    for series in (confirmed, removed):
+        values = series.values
+        bad = (values < 0) | (values != np.trunc(values))
+        if bad.any():
+            raise ValueError(f"case counts must be nonnegative integers, got {float(values[bad][0])}")
+    if confirmed.start_date != removed.start_date or len(confirmed) != len(removed):
         raise RangeMismatchError(
-            f"confirmed covers [{cs.start_date}, {cs.end_date}]"
-            f" but removed covers [{rs.start_date}, {rs.end_date}]"
+            f"confirmed covers [{confirmed.start_date}, {confirmed.end_date}]"
+            f" but removed covers [{removed.start_date}, {removed.end_date}]"
         )
     active: list[int] = []
     prev = 0
-    for offset, (c, r) in enumerate(zip(cs.values.tolist(), rs.values.tolist())):
+    for offset, (c, r) in enumerate(zip(confirmed.values.tolist(), removed.values.tolist())):
         raw = prev + int(c) - int(r)
         if raw < 0:
-            day = cs.start_date + timedelta(days=offset)
+            day = confirmed.start_date + timedelta(days=offset)
             logger.warning("active-case clamp on %s: raw value %d set to 0", day.isoformat(), raw)
             raw = 0
         active.append(raw)
         prev = raw
-    return CaseSeries(CaseKind.ACTIVE, DateIndexedSeries(cs.start_date, active))
+    return DateIndexedSeries(confirmed.start_date, active)

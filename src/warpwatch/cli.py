@@ -139,12 +139,11 @@ def _reconstruct(
 def _derive_cases(
     linelist: str, region: str, province: str, start: date, end: date
 ) -> tuple[int, dict[CaseKind, DateIndexedSeries]]:
-    """Kept line-list record count, and the confirmed and active series over [start, end]."""
-    records = load_linelist(linelist, region, province)
-    confirmed = daily_confirmed(records, start, end)
-    removed = daily_removed(records, start, end)
-    active = active_cases(confirmed, removed)
-    return len(records), {CaseKind.CONFIRMED: confirmed.series, CaseKind.ACTIVE: active.series}
+    """Kept line-list row count, and the confirmed and active series over [start, end]."""
+    rows = load_linelist(linelist, region, province)
+    confirmed = daily_confirmed(rows, start, end)
+    removed = daily_removed(rows, start, end)
+    return len(rows), {CaseKind.CONFIRMED: confirmed, CaseKind.ACTIVE: active_cases(confirmed, removed)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +180,10 @@ def _cmd_metrics(args) -> int:
     manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
     first = panel.start_date + timedelta(days=args.window - 1)
     matrices = correlation_matrix_sequence(panel, args.window)
-    result = metric_series_from_matrices(matrices, first, MetricKind(args.metric), args.threshold)
+    series = metric_series_from_matrices(matrices, first, MetricKind(args.metric), args.threshold)
     out = _outdir(args)
-    write_series_csv(result.series, str(out / "metric.csv"), _preamble(manifest))
-    print(f"wrote {len(result.series)} {args.metric} values to {out / 'metric.csv'}")
+    write_series_csv(series, str(out / "metric.csv"), _preamble(manifest))
+    print(f"wrote {len(series)} {args.metric} values to {out / 'metric.csv'}")
     return 0
 
 

@@ -84,18 +84,6 @@ class KeywordPanel:
         return len(self.keywords)
 
 
-@dataclass(frozen=True)
-class NetworkMetricSeries:
-    metric_kind: MetricKind
-    series: DateIndexedSeries
-
-    def __post_init__(self) -> None:
-        values = self.series.values
-        outside = (values < 0.0) | (values > 1.0)
-        if outside.any():
-            raise ValueError(f"metric value {float(values[outside][0])} outside [0, 1]")
-
-
 def _centered(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Double-centred distance matrices of a ``(..., w)`` stack of windows, each
     flattened to ``w * w``, and their distance variances, which must be finite."""
@@ -218,9 +206,8 @@ def metric_series_from_matrices(
     first_date: date,
     metric_kind: MetricKind,
     theta: float,
-) -> NetworkMetricSeries:
+) -> DateIndexedSeries:
     """Threshold the ``(days, N, N)`` stack and evaluate one metric per day."""
     metric = network_density if metric_kind is MetricKind.DENSITY else clustering_coefficient
-    values = metric(threshold_graph(matrices, theta))
-    return NetworkMetricSeries(metric_kind, DateIndexedSeries(first_date, values))
+    return DateIndexedSeries(first_date, metric(threshold_graph(matrices, theta)))
 

@@ -158,7 +158,7 @@ def run_sweep(
     ) -> DateIndexedSeries:
         matrices = correlations(preprocess, window)
         first = panels[preprocess].start_date + timedelta(days=window - 1)
-        return metric_series_from_matrices(matrices, first, metric, threshold).series
+        return metric_series_from_matrices(matrices, first, metric, threshold)
 
     results: list[SweepResult | None] = [None] * len(cfgs)
 
@@ -200,18 +200,10 @@ def optimal_configs(results: Sequence[SweepResult]) -> list[SweepResult]:
     """
     if not results:
         raise ValueError("no results supplied")
-    rows: list[SweepResult] = []
-    for metric in METRICS:
-        for case_type in CASE_TYPES:
-            candidates = [
-                r
-                for r in results
-                if r.ok and r.config.metric is metric and r.config.case_type is case_type
-            ]
-            if not candidates:
-                continue
-            rows.append(min(candidates, key=lambda r: (r.dtw_score, r.config.sort_key())))
-    return rows
+    best: dict[tuple[MetricKind, CaseKind], SweepResult] = {}
+    for r in sorted((r for r in results if r.ok), key=lambda r: (r.dtw_score, r.config.sort_key())):
+        best.setdefault((r.config.metric, r.config.case_type), r)
+    return [best[key] for key in itertools.product(METRICS, CASE_TYPES) if key in best]
 
 
 def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> ParameterReport:

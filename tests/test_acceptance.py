@@ -15,7 +15,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from warpwatch.cases import CaseKind, CaseSeries, active_cases
+from warpwatch.cases import active_cases
 from warpwatch.cli import main
 from warpwatch.dtw import BandSpec, dtw
 from warpwatch.errors import BandInfeasibleError
@@ -183,24 +183,20 @@ def test_c07_active_case_conservation(caplog):
                 r = rng.randint(0, active + c)
                 removed_counts.append(r)
                 active += c - r
-            confirmed = CaseSeries(
-                CaseKind.CONFIRMED, DateIndexedSeries(MAR16, tuple(map(float, confirmed_counts)))
-            )
-            removed = CaseSeries(
-                CaseKind.REMOVED, DateIndexedSeries(MAR16, tuple(map(float, removed_counts)))
-            )
+            confirmed = DateIndexedSeries(MAR16, tuple(map(float, confirmed_counts)))
+            removed = DateIndexedSeries(MAR16, tuple(map(float, removed_counts)))
             out = active_cases(confirmed, removed)
             running = 0
-            for a, c, r in zip(out.series.values, confirmed_counts, removed_counts):
+            for a, c, r in zip(out.values, confirmed_counts, removed_counts):
                 running += c - r
                 assert a == running
 
         # clamp path: removals precede confirmations
-        confirmed = CaseSeries(CaseKind.CONFIRMED, DateIndexedSeries(MAR16, (0.0, 2.0, 0.0)))
-        removed = CaseSeries(CaseKind.REMOVED, DateIndexedSeries(MAR16, (3.0, 0.0, 4.0)))
+        confirmed = DateIndexedSeries(MAR16, (0.0, 2.0, 0.0))
+        removed = DateIndexedSeries(MAR16, (3.0, 0.0, 4.0))
         with caplog.at_level(logging.WARNING, logger="warpwatch.cases"):
             clamped = active_cases(confirmed, removed)
-        assert all(v >= 0.0 for v in clamped.series.values)
+        assert all(v >= 0.0 for v in clamped.values)
         assert "2020-03-16" in caplog.text and "2020-03-18" in caplog.text
 
 

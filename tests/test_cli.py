@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import warpwatch
+from warpwatch import cases
 from warpwatch.cli import _build_parser, main
 from warpwatch.errors import DegenerateRangeError
-from warpwatch.timeseries import DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
+from warpwatch.timeseries import COLUMNAR_MIN_BYTES, DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
 
 MAR16 = date(2020, 3, 16)
 
@@ -44,6 +46,28 @@ def body_digest(paths):
             body = "".join(line for line in path.read_text(encoding="utf-8").splitlines(True) if not line.startswith("#"))
         digest.update(f"{path.name}\n{body}".encode())
     return digest.hexdigest()
+
+
+def write_dirty_linelist(path):
+    """A plain line list of at least COLUMNAR_MIN_BYTES: padded in-region fields, off-region rows
+    with bad dates, blank regions, removals before confirmation, and patients confirmed in March
+    whose removals fall in April, so an April start clamps."""
+    rows = ["CaseCode,RegionRes,ProvinceRes,DateRepConf,DateRepRem,Age"]
+    for n in range(30_000):
+        conf = date(2020, 3, 1) + timedelta(days=(37 * n + n // 97) % 120)
+        if n % 9 == 0:
+            rows.append(f"C{n},Region IV-A,Cavite,not-a-date,??,{n % 90}")
+        elif n % 13 == 0:
+            rows.append(f"C{n},,NCR,{conf},,{n % 90}")
+        elif n % 7 == 1:
+            conf = date(2020, 3, 1) + timedelta(days=n % 30)
+            rows.append(f"C{n},NCR,NCR,{conf},{conf + timedelta(days=32 + n % 5)},{n % 90}")
+        else:
+            removal = "" if n % 5 == 0 else conf + timedelta(days=n % 23 - (10 if n % 4 == 0 else 0))
+            rows.append(f"C{n}, NCR ,NCR , {conf} ,{removal},{n % 90}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert path.stat().st_size >= COLUMNAR_MIN_BYTES
+    return path
 
 
 class TestSynth:
@@ -356,6 +380,31 @@ class TestCases:
         )
         assert code == 0
         assert set(read_series_csv(str(out / "confirmed.csv")).values) == {0.0}
+
+    @pytest.mark.parametrize(
+        "leg, expected",
+        [
+            ("rows", "b8e617915be7179b7539f1dd3d8066fe9e456a1654f949db4aac03989dc1b663"),
+            ("columns", "9e819ac74d686ec2e52578ae76ca63a45655bad42545a556db9f28fb5f7e573e"),
+        ],
+    )
+    def test_case_bodies_are_pinned(self, tmp_path, sweep_inputs, monkeypatch, caplog, leg, expected):
+        # SHA-256 recorded when the line list was still read into per-row records
+        if leg == "rows":
+            linelist, start, end = sweep_inputs.linelist, sweep_inputs.start, sweep_inputs.end
+        else:
+            linelist, start, end = write_dirty_linelist(tmp_path / "linelist.csv"), date(2020, 4, 1), date(2020, 6, 15)
+            monkeypatch.setattr(cases, "_linelist_from_rows", None)  # the columnar path must answer alone
+        out = tmp_path / "cases"
+        with caplog.at_level(logging.WARNING, logger="warpwatch.cases"):
+            code = run(
+                "cases", "--linelist", linelist, "--region", "NCR", "--province", "NCR",
+                "--start", start, "--end", end, "--outdir", out,
+            )
+        assert code == 0
+        clamps = [m for m in caplog.messages if m.startswith("active-case clamp")]
+        assert bool(clamps) == (leg == "columns")
+        assert body_digest([out / "confirmed.csv", out / "active.csv"]) == expected
 
     def test_malformed_date_exits_2(self, tmp_path):
         linelist = tmp_path / "linelist.csv"

@@ -115,6 +115,14 @@ def segment_key(result):
     return "ok", [(s.keyword, s.start_date, s.values.tobytes()) for s in result[1]]
 
 
+def linelist_key(result):
+    if result[0] != "ok":
+        return result
+    rows = result[1]
+    assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2
+    return "ok", len(rows), rows.tobytes()
+
+
 def check_segments(path: str) -> None:
     fast = trends._segments_from_columns(path)
     assert fast is None or segment_key(("ok", fast)) == segment_key(outcome(trends._segments_from_rows, path))
@@ -122,7 +130,7 @@ def check_segments(path: str) -> None:
 
 def check_linelist(path: str, region: str = "NCR", province: str = "NCR") -> None:
     fast = cases._linelist_from_columns(path, region, province)
-    assert fast is None or ("ok", fast) == outcome(cases._linelist_from_rows, path, region, province)
+    assert fast is None or linelist_key(("ok", fast)) == linelist_key(outcome(cases._linelist_from_rows, path, region, province))
 
 
 def written(data: bytes) -> str:
@@ -206,7 +214,7 @@ def test_small_files_take_the_row_parser(sweep_inputs, row_parser_calls):
 def test_columnar_loaders_equal_the_row_parsers_on_large_files(large_inputs):
     segments, linelist = large_inputs
     assert segment_key(("ok", load_segments(segments))) == segment_key(("ok", trends._segments_from_rows(segments)))
-    assert load_linelist(linelist, "NCR", "NCR") == cases._linelist_from_rows(linelist, "NCR", "NCR")
+    assert linelist_key(("ok", load_linelist(linelist, "NCR", "NCR"))) == linelist_key(("ok", cases._linelist_from_rows(linelist, "NCR", "NCR")))
 
 
 def test_a_quoted_field_steps_aside(tmp_path):

@@ -347,13 +347,13 @@ class TestMetricSeries:
         shifted = [math.cos(t / 11.0) * 40 + 50 for t in range(366)]
         p = panel_of([values, shifted])
         out = metric_of(p, MetricKind.DENSITY, theta=0.5, window=15)
-        assert len(out.series) == 352
-        assert out.series.start_date == START + timedelta(days=14)
+        assert len(out) == 352
+        assert out.start_date == START + timedelta(days=14)
 
     def test_window_equal_to_panel_length(self):
         p = panel_of([range(30), [v * 3 + 1 for v in range(30)]])
         out = metric_of(p, MetricKind.CLUSTERING, theta=0.5, window=30)
-        assert len(out.series) == 1
+        assert len(out) == 1
 
     def test_matrix_sequence_is_one_read_only_stack(self):
         p = panel_of([range(20), [v % 7 for v in range(20)], [v * v for v in range(20)]])
@@ -372,14 +372,14 @@ class TestMetricSeries:
         p = panel_of([rng.uniform(0, 100, 40) for _ in range(5)])
         matrices = correlation_matrix_sequence(p, 15)
         out = metric_series_from_matrices(matrices, START, MetricKind.CLUSTERING, 0.5)
-        assert list(out.series.values) == [
+        assert list(out.values) == [
             clustering_coefficient(threshold_graph(m, 0.5)) for m in matrices
         ]
 
     def test_identical_series_give_constant_density_one(self):
         p = panel_of([range(40), range(40), range(40)])
         out = metric_of(p, MetricKind.DENSITY, theta=0.9, window=15)
-        assert set(out.series.values) == {1.0}
+        assert set(out.values) == {1.0}
 
     def test_insufficient_panel(self):
         p = panel_of([range(10), range(10, 20)])
@@ -391,7 +391,7 @@ class TestMetricSeries:
         p = panel_of([rng.uniform(0, 100, 50) for _ in range(4)])
         for kind in MetricKind:
             out = metric_of(p, kind, theta=0.5, window=15)
-            assert all(0.0 <= v <= 1.0 for v in out.series.values)
+            assert all(0.0 <= v <= 1.0 for v in out.values)
 
 
 class TestKeywordPanel:

@@ -195,7 +195,7 @@ class TestRunSweep:
         for cfg in enumerate_configs():
             stack = stacks[cfg.preprocess, cfg.window]
             first = START + timedelta(days=cfg.window - 1)
-            metric = metric_series_from_matrices(stack, first, cfg.metric, cfg.threshold).series
+            metric = metric_series_from_matrices(stack, first, cfg.metric, cfg.threshold)
             case, metric = align_ranges(minmax_normalize(cases[cfg.case_type]), metric)
             expected[cfg.radius, case.values.tobytes(), metric.values.tobytes()] += 1
         assert stacked == expected
