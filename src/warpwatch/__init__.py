@@ -33,7 +33,7 @@ from .sweep import (
     summarize_parameter,
 )
 from .timeseries import DateIndexedSeries, align_ranges, minmax_normalize, read_series_csv, validate_contiguous, write_series_csv
-from .trends import DailySegment, WeeklySeries, load_segments, load_weekly, msv_merge, rescale_daily
+from .trends import WeeklySeries, load_segments, load_weekly, msv_merge, rescale_daily, segment_array
 
 __all__ = [
     "__version__",
@@ -47,7 +47,7 @@ __all__ = [
     "BandSpec",
     "DtwResult",
     "dtw",
-    "DailySegment",
+    "segment_array",
     "WeeklySeries",
     "load_segments",
     "load_weekly",

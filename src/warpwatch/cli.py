@@ -20,6 +20,8 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
 from .dtw import BandSpec, dtw
@@ -118,9 +120,9 @@ def _reconstruct(
     segments_path: str, weekly_path: str | None, methods: Sequence[Preprocess]
 ) -> dict[Preprocess, dict[str, DateIndexedSeries]]:
     """Daily series per keyword, in keyword order, for each reconstruction method."""
-    by_keyword: dict[str, list] = {}
-    for seg in load_segments(segments_path):
-        by_keyword.setdefault(seg.keyword, []).append(seg)
+    segments = load_segments(segments_path)
+    keywords, firsts = np.unique(segments["keyword"], return_index=True)
+    by_keyword = dict(zip(keywords.tolist(), np.split(segments, firsts[1:])))
     weekly = load_weekly(weekly_path) if Preprocess.RESCALE in methods else {}
     by_method: dict[Preprocess, dict[str, DateIndexedSeries]] = {}
     for method in methods:

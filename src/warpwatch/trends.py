@@ -52,39 +52,21 @@ def _scores(values, what: str, ndim: int = 1) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class DailySegment:
-    """Exactly 30 consecutive daily scores in [0, 100] for one keyword."""
+def segment_array(keywords: Sequence[str], starts, values) -> np.ndarray:
+    """Read-only structured array with one element per segment, in the order given.
 
-    keyword: str
-    start_date: date
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _scores(self.values, "segment"))
-        if len(self.values) != SEGMENT_DAYS:
-            raise ValueError(f"segment must hold exactly {SEGMENT_DAYS} values, got {len(self.values)}")
-
-    @classmethod
-    def from_rows(cls, keywords: Sequence[str], starts: Sequence[date], rows) -> list[DailySegment]:
-        """One segment per row of the (segments, 30) array ``rows``.
-
-        The constructor's checks run once on the whole array, and each
-        segment's values are a read-only row of one copy of it.
-        """
-        block = _scores(rows, "segment", ndim=2)
-        if block.shape[1] != SEGMENT_DAYS:
-            raise ValueError(f"segment must hold exactly {SEGMENT_DAYS} values, got {block.shape[1]}")
-        segments = []
-        for keyword, start_date, values in zip(keywords, starts, block):
-            segment = object.__new__(cls)
-            segment.__dict__.update(keyword=keyword, start_date=start_date, values=values)
-            segments.append(segment)
-        return segments
-
-    @property
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=SEGMENT_DAYS - 1)
+    Fields: ``keyword`` (str), ``start`` (the int64 day ordinal of the
+    first day) and ``values`` (its 30 float64 scores). Scores are checked
+    where they are used, by ``rescale_daily`` and ``msv_merge``.
+    """
+    keywords = np.asarray(keywords, dtype=str)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(keywords), SEGMENT_DAYS):
+        raise ValueError(f"segments must hold exactly {SEGMENT_DAYS} values each, got shape {values.shape}")
+    segments = np.empty(len(keywords), dtype=[("keyword", keywords.dtype), ("start", np.int64), ("values", float, SEGMENT_DAYS)])
+    segments["keyword"], segments["start"], segments["values"] = keywords, starts, values
+    segments.flags.writeable = False
+    return segments
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +93,14 @@ def _parse_score(raw: str, lineno: int) -> float:
     return value
 
 
-def load_segments(path: str) -> list[DailySegment]:
-    """Parse a segment CSV (``keyword,segment_start,date,value``) into segments.
+def load_segments(path: str) -> np.ndarray:
+    """Parse a segment CSV (``keyword,segment_start,date,value``) into a ``segment_array``.
 
     Rows are grouped by (keyword, segment_start); each group must supply
     exactly the 30 consecutive days starting at segment_start. Values
     outside [0, 100] raise RangeError; structural violations raise
     ParseError with the offending line number. Segments come back sorted
-    by keyword, then start date.
+    by keyword, then start.
 
     A plain file (see ``read_plain_columns``) of at least
     ``COLUMNAR_MIN_BYTES`` whose rows are all valid is read column-wise;
@@ -131,7 +113,7 @@ def load_segments(path: str) -> list[DailySegment]:
     return _segments_from_rows(path) if segments is None else segments
 
 
-def _segments_from_columns(path: str) -> list[DailySegment] | None:
+def _segments_from_columns(path: str) -> np.ndarray | None:
     """``load_segments`` of a plain, valid file with array operations; None otherwise."""
     columns = read_plain_columns(path, SEGMENT_HEADER, floats=("value",), exact=True)
     if columns is None:
@@ -164,14 +146,10 @@ def _segments_from_columns(path: str) -> list[DailySegment] | None:
     if (grid[:, 0] % SEGMENT_DAYS).any() or (grid != grid[:, :1] + np.arange(SEGMENT_DAYS)).any():
         return None
     codes, starts = np.divmod(grid[:, 0] // SEGMENT_DAYS, span)
-    return DailySegment.from_rows(
-        [keywords[c] for c in codes.tolist()],
-        [date.fromordinal(first + s) for s in starts.tolist()],
-        values[order].reshape(-1, SEGMENT_DAYS),
-    )
+    return segment_array(np.array(keywords)[codes], starts + first, values[order].reshape(-1, SEGMENT_DAYS))
 
 
-def _segments_from_rows(path: str) -> list[DailySegment]:
+def _segments_from_rows(path: str) -> np.ndarray:
     """``load_segments`` one CSV row at a time, with line-numbered errors."""
     slots: dict[tuple[str, date], list[float | None]] = {}
     first_line: dict[tuple[str, date], int] = {}
@@ -199,7 +177,6 @@ def _segments_from_rows(path: str) -> list[DailySegment]:
     if not slots:
         raise ParseError("no segment rows after the header")
 
-    segments: list[DailySegment] = []
     for (keyword, seg_start), row in slots.items():
         if None in row:
             raise ParseError(
@@ -207,9 +184,8 @@ def _segments_from_rows(path: str) -> list[DailySegment]:
                 f" {SEGMENT_DAYS - row.count(None)} rows, expected {SEGMENT_DAYS}",
                 first_line[(keyword, seg_start)],
             )
-        segments.append(DailySegment(keyword, seg_start, row))
-    segments.sort(key=lambda s: (s.keyword, s.start_date))
-    return segments
+    keys = sorted(slots)
+    return segment_array([k for k, _ in keys], [s.toordinal() for _, s in keys], [slots[key] for key in keys])
 
 
 def load_weekly(path: str) -> dict[str, WeeklySeries]:
@@ -234,12 +210,15 @@ def load_weekly(path: str) -> dict[str, WeeklySeries]:
     return out
 
 
-def _in_start_order(segments: Sequence[DailySegment]) -> list[DailySegment]:
-    """Segments by start date, ties broken by their values, so input order never matters."""
-    return sorted(segments, key=lambda s: (s.start_date, s.values.tolist()))
+def _in_start_order(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and checked scores of ``segments`` by start, ties broken by
+    their scores, so input order never matters."""
+    values = _scores(segments["values"], "segment", ndim=2)
+    order = np.lexsort((*values.T[::-1], segments["start"]))
+    return segments["start"][order], values[order]
 
 
-def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> DateIndexedSeries:
+def rescale_daily(segments: np.ndarray, weekly: WeeklySeries) -> DateIndexedSeries:
     """Calibrate daily segments against the weekly reference.
 
     Within each segment, every week bucket gets the factor
@@ -249,13 +228,12 @@ def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> Dat
     calibrated values. Raises CoverageError when a day in the covered
     span has no segment or its week is missing from the reference.
     """
-    if not segments:
+    if not len(segments):
         raise CoverageError("no segments supplied")
-    ordered = _in_start_order(segments)
-    d0 = ordered[0].start_date
-    values = np.stack([s.values for s in ordered])
+    starts, values = _in_start_order(segments)
+    d0 = date.fromordinal(int(starts[0]))
     # day offset from d0 and week bucket of every (segment, day) cell
-    offsets = np.array([(s.start_date - d0).days for s in ordered])[:, None] + np.arange(SEGMENT_DAYS)
+    offsets = (starts - starts[0])[:, None] + np.arange(SEGMENT_DAYS)
     weeks = (offsets + (d0 - weekly.start_date).days) // 7
     uncovered = ((weeks < 0) | (weeks >= len(weekly.values))).ravel()
     if uncovered.any():
@@ -264,7 +242,7 @@ def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> Dat
 
     # one bucket per (segment, week); bincount adds in row order, as a loop would
     local = weeks - weeks[:, :1]
-    buckets = (np.arange(len(ordered))[:, None] * (int(local.max()) + 1) + local).ravel()
+    buckets = (np.arange(len(values))[:, None] * (int(local.max()) + 1) + local).ravel()
     sums = np.bincount(buckets, weights=values.ravel())
     counts = np.bincount(buckets)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[buckets]
@@ -280,7 +258,7 @@ def rescale_daily(segments: Sequence[DailySegment], weekly: WeeklySeries) -> Dat
     return DateIndexedSeries(d0, day_sums / day_counts)
 
 
-def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
+def msv_merge(segments: np.ndarray) -> DateIndexedSeries:
     """Chain segments forward from the earliest, estimating a correction
     factor on every overlap, then rescale so the maximum is exactly 100.
 
@@ -292,36 +270,36 @@ def msv_merge(segments: Sequence[DailySegment]) -> DateIndexedSeries:
     overlap is zero on every such day: a factor of 0 would zero every
     later day of the series.
     """
-    if not segments:
+    if not len(segments):
         raise NoOverlapError("no segments supplied")
-    ordered = _in_start_order(segments)
-    d0 = ordered[0].start_date
-    merged = np.empty((ordered[-1].end_date - d0).days + 1)
-    merged[:SEGMENT_DAYS] = ordered[0].values
+    starts, values = _in_start_order(segments)
+    keyword, d0 = str(segments["keyword"][0]), date.fromordinal(int(starts[0]))
+    offsets = (starts - starts[0]).tolist()
+    merged = np.empty(offsets[-1] + SEGMENT_DAYS)
+    merged[:SEGMENT_DAYS] = values[0]
     filled = SEGMENT_DAYS
 
-    for seg in ordered[1:]:
-        start = (seg.start_date - d0).days
+    for start, seg in zip(offsets[1:], values[1:]):
         if start >= filled:
             raise NoOverlapError(
-                f"segment starting {seg.start_date.isoformat()} does not overlap"
+                f"segment starting {(d0 + timedelta(days=start)).isoformat()} does not overlap"
                 f" the merged range ending {(d0 + timedelta(days=filled - 1)).isoformat()}"
             )
-        head = seg.values[: filled - start]
+        head = seg[: filled - start]
         positive = head > 0.0
         ratios = merged[start:filled][positive] / head[positive]
         factor = sequential_sum(ratios) / ratios.size if ratios.size else 1.0
         if not ratios.size:
             logger.warning(
                 "keyword %r: segment starting %s has no positive overlap day; correction factor 1 used",
-                seg.keyword, seg.start_date.isoformat(),
+                keyword, (d0 + timedelta(days=start)).isoformat(),
             )
         if factor == 0.0:
             raise CoverageError(
-                f"keyword {seg.keyword!r}: segment starting {seg.start_date.isoformat()} is positive"
+                f"keyword {keyword!r}: segment starting {(d0 + timedelta(days=start)).isoformat()} is positive"
                 " where the merged overlap is all zero, so its correction factor would be 0"
             )
-        tail = seg.values[filled - start :] * factor
+        tail = seg[filled - start :] * factor
         merged[filled : filled + tail.size] = tail
         filled += tail.size
 

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import warpwatch
-from warpwatch import cases
+from warpwatch import cases, trends
 from warpwatch.cli import _build_parser, main
 from warpwatch.errors import DegenerateRangeError
+from warpwatch.testkit import Lcg
 from warpwatch.timeseries import COLUMNAR_MIN_BYTES, DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
 
 MAR16 = date(2020, 3, 16)
@@ -68,6 +69,30 @@ def write_dirty_linelist(path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert path.stat().st_size >= COLUMNAR_MIN_BYTES
     return path
+
+
+def write_columnar_trends(directory):
+    """A plain segment file of at least COLUMNAR_MIN_BYTES with CRLF line ends, padded keyword
+    fields, segments starting every 5 days (so each overlaps the next 5) and rows in shuffled
+    order, plus a weekly reference covering every segment day."""
+    rng = Lcg(19)
+    keywords = ("fever", "cough", "masks", "flu", "lockdown", "quarantine", "testing", "ubo")
+    rows, weekly = [], ["keyword,week_start,value"]
+    for k, keyword in enumerate(keywords):
+        for s in range(0, 560, 5):
+            start = date(2020, 3, 1) + timedelta(days=s)
+            for i in range(30):
+                value = 0.0 if rng.next_float() < 0.05 else 1.0 + 99.0 * rng.next_float()
+                rows.append(f"{' ' * (k % 3)}{keyword} ,{start},{start + timedelta(days=i)},{value:.4f}")
+        weekly += [f"{keyword},{date(2020, 3, 1) + timedelta(days=7 * w)},{1.0 + 99.0 * rng.next_float():.4f}" for w in range(84)]
+    for i in range(len(rows) - 1, 0, -1):  # Fisher-Yates with the reproducible generator
+        j = int(rng.next_float() * (i + 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    segments = directory / "segments.csv"
+    segments.write_bytes(("\r\n".join(["keyword,segment_start,date,value", *rows]) + "\r\n").encode("ascii"))
+    assert segments.stat().st_size >= COLUMNAR_MIN_BYTES
+    (directory / "weekly.csv").write_text("\n".join(weekly) + "\n", encoding="utf-8")
+    return segments, directory / "weekly.csv"
 
 
 class TestSynth:
@@ -241,18 +266,26 @@ class TestPreprocess:
             assert max(read_series_csv(str(path)).values) == 100.0
 
     @pytest.mark.parametrize(
-        "method, expected",
+        "method, leg, expected",
         [
-            ("rescale", "f416650e677d892fcde92ebc72a92dc1d086121421df270d68795cc5121ab688"),
-            ("msv", "c9bf904366c6c92ae45b77f061d11684f52d47390e4d75e0d3d1d13237c55450"),
+            ("rescale", "rows", "f416650e677d892fcde92ebc72a92dc1d086121421df270d68795cc5121ab688"),
+            ("msv", "rows", "c9bf904366c6c92ae45b77f061d11684f52d47390e4d75e0d3d1d13237c55450"),
+            ("rescale", "columns", "36587b2ae1d2f3878cdd22a8a931b2c92df89ed2a8959c07e08e91eb7b2edfe4"),
+            ("msv", "columns", "9ec002738f38fd0c9696adb7d1ad5bb23cd29e4de19191faad68b893ecc585c3"),
         ],
     )
-    def test_reconstruction_bodies_are_pinned(self, tmp_path, sweep_inputs, method, expected):
-        # SHA-256 of every written file name and body (manifest lines excluded),
-        # recorded before the trends layer moved onto arrays
+    def test_reconstruction_bodies_are_pinned(self, tmp_path, sweep_inputs, monkeypatch, method, leg, expected):
+        # SHA-256 of every written file name and body (manifest lines excluded); the rows leg
+        # recorded before the trends layer moved onto arrays, the columns leg while segments
+        # were still per-segment objects
+        if leg == "rows":
+            segments, weekly_path = sweep_inputs.segments, sweep_inputs.weekly
+        else:
+            segments, weekly_path = write_columnar_trends(tmp_path)
+            monkeypatch.setattr(trends, "_segments_from_rows", None)  # the columnar path must answer alone
         out = tmp_path / "panel"
-        weekly = ["--weekly", sweep_inputs.weekly] if method == "rescale" else []
-        code = run("preprocess", "--segments", sweep_inputs.segments, *weekly, "--method", method, "--outdir", out)
+        weekly = ["--weekly", weekly_path] if method == "rescale" else []
+        code = run("preprocess", "--segments", segments, *weekly, "--method", method, "--outdir", out)
         assert code == 0
         assert body_digest(sorted(out.glob("*.csv"))) == expected
 

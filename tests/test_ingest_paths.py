@@ -110,9 +110,10 @@ def outcome(load, *args):
 def segment_key(result):
     if result[0] != "ok":
         return result
-    for s in result[1]:
-        assert s.values.dtype == np.float64 and s.values.shape == (30,) and not s.values.flags.writeable
-    return "ok", [(s.keyword, s.start_date, s.values.tobytes()) for s in result[1]]
+    segments = result[1]
+    assert not segments.flags.writeable
+    assert segments["values"].dtype == np.float64 and segments["values"].shape == (len(segments), 30)
+    return "ok", segments.dtype, segments.tobytes()
 
 
 def linelist_key(result):
@@ -222,7 +223,7 @@ def test_a_quoted_field_steps_aside(tmp_path):
     rows = [f'"a, b",{BASE},{BASE + timedelta(days=i)},1.0' for i in range(30)]
     path.write_text("\n".join([SEGMENT_HEADER, *rows]) + "\n", encoding="utf-8")
     assert trends._segments_from_columns(str(path)) is None
-    assert [s.keyword for s in load_segments(str(path))] == ["a, b"]
+    assert load_segments(str(path))["keyword"].tolist() == ["a, b"]
 
 
 class TestColumnarPieces:
