@@ -24,7 +24,7 @@ from .timeseries import (
     DateIndexedSeries,
     iso_date_ordinals,
     parse_iso_date,
-    read_plain_columns,
+    read_plain_blocks,
 )
 
 logger = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
     dirty), and a malformed date raises ParseError with its row number.
     A UTF-8 byte-order mark is skipped.
 
-    A plain file (see ``read_plain_columns``) of at least
+    A plain file (see ``read_plain_blocks``) of at least
     ``COLUMNAR_MIN_BYTES`` whose retained rows are all valid is read
     column-wise: the filter runs on whole columns, then only the retained
     rows' distinct dates are parsed. Any other file, and every error,
@@ -65,25 +65,25 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
 
 
 def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray | None:
-    """``load_linelist`` of a plain file whose retained rows are valid; None otherwise."""
-    columns = read_plain_columns(path, REQUIRED_COLUMNS)
-    if columns is None:
-        return None
-    keep = (np.char.strip(columns["RegionRes"]) == region.encode()) & (
-        np.char.strip(columns["ProvinceRes"]) == province.encode()
-    )
-    keep &= bool(region and province)
-    confirmed = iso_date_ordinals(columns["DateRepConf"][keep])
-    raw_removed = np.char.strip(columns["DateRepRem"][keep])
-    del columns  # frees the loaded table before the array is built
-    has_removal = raw_removed != b""
-    removed = iso_date_ordinals(raw_removed[has_removal])
-    if confirmed is None or removed is None:
-        return None
-    rows = np.zeros((len(confirmed), 2), dtype=np.int64)
-    rows[:, 0] = confirmed
-    rows[has_removal, 1] = removed
-    return rows
+    """``load_linelist`` of a plain file whose retained rows are valid, one
+    block of lines at a time; None otherwise."""
+    kept, parsed = [], set()
+    for columns in read_plain_blocks(path, REQUIRED_COLUMNS, keep=("RegionRes", region.encode())):
+        if columns is None:
+            return None
+        keep = np.char.strip(columns["ProvinceRes"]) == province.encode()
+        keep &= bool(region and province)
+        removals = np.char.strip(columns["DateRepRem"][keep])
+        has_removal = removals != b""
+        # one decode for the block's confirmation dates, then its removal dates
+        ordinals = iso_date_ordinals(np.concatenate((columns["DateRepConf"][keep], removals[has_removal])), parsed)
+        if ordinals is None:
+            return None
+        rows = np.zeros((len(removals), 2), dtype=np.int64)
+        rows[:, 0] = ordinals[: len(rows)]
+        rows[has_removal, 1] = ordinals[len(rows) :]
+        kept.append(rows)
+    return np.concatenate(kept)
 
 
 def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:

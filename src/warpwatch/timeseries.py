@@ -32,13 +32,16 @@ CSV_HEADER = ("date", "value")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _DATE_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9)  # where YYYY-MM-DD keeps its digits
+_DATE_WEIGHTS = np.array([10_000_000, 1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int32)  # their place values in YYYYMMDD
 # bytes a plain CSV may hold: printable ASCII but the quote character, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"') + b"\r\n"
-_SCAN_BYTES = 1 << 20
+# bytes per read of the block reader: on a 315k-row segment file, 512 KiB
+# raised the loading process's peak RSS by 1.5 MB for a few percent of speed
+_SCAN_BYTES = 1 << 18
 # The loaders send smaller files straight to their row parsers: those are
-# about as fast there, and the columnar read's fixed cost (numpy's text
-# reader and sort kernels paged in, some 1.5 MB resident) would raise a
-# sweep's peak RSS.
+# about as fast there, and the block reader's fixed cost (numpy's text
+# reader paged in) would raise a sweep's peak RSS: by 0.6-0.9 MB, measured
+# with the threshold at 0 on the benchmark's seed-0 sweep inputs.
 COLUMNAR_MIN_BYTES = 1 << 20
 
 
@@ -185,38 +188,41 @@ def parse_iso_date(text: str) -> date:
         raise ValueError(message) from exc
 
 
-def iso_date_ordinals(column: np.ndarray) -> np.ndarray | None:
-    """Day ordinals of a byte-string column of dates, or None unless every
-    entry, stripped of ASCII whitespace, is a date ``parse_iso_date`` accepts.
+def iso_date_ordinals(column: np.ndarray, parsed: set[int] | None = None) -> np.ndarray | None:
+    """Int32 day ordinals of a byte-string column of dates, or None unless
+    every entry, stripped of ASCII whitespace, is a date ``parse_iso_date`` accepts.
 
-    The digits are decoded with array operations; ``parse_iso_date``
-    then runs once per distinct date, so both accept the same strings.
+    The digits and ordinals are computed with array operations;
+    ``parse_iso_date`` runs once per distinct date, so both accept the
+    same strings. ``parsed`` holds the dates, as YYYYMMDD integers,
+    already accepted: a caller that reads a file in blocks passes one
+    set to every call, so each date is parsed once per file.
     """
     if column.dtype.itemsize != 10:
         column = np.char.strip(column)
         if (np.char.str_len(column) != 10).any():
             return None
-    chars = np.ascontiguousarray(column, dtype="S10").view(np.uint8).reshape(-1, 10)
-    if (chars[:, [4, 7]] != 45).any():
+    chars = np.ascontiguousarray(column, dtype="S10").view(np.uint8).reshape(-1, 10) - np.uint8(48)
+    digits = chars[:, _DATE_DIGITS]
+    if (chars[:, [4, 7]] != 253).any() or (digits > 9).any():  # "-" is 45, 253 after the shift
         return None
-    yyyymmdd = np.zeros(len(chars), dtype=np.int32)
-    for i in _DATE_DIGITS:
-        digit = chars[:, i] - np.uint8(48)
-        if (digit > 9).any():
-            return None
-        yyyymmdd *= 10
-        yyyymmdd += digit
-    del chars, digit  # freed before the sort below, which keeps the peak down
+    yyyymmdd = (digits * _DATE_WEIGHTS).sum(axis=1, dtype=np.int32)
     keys = np.sort(yyyymmdd)
-    keys = keys[np.diff(keys, prepend=-1) > 0]
+    parsed = set() if parsed is None else parsed
     try:
-        ordinals = [
-            parse_iso_date(f"{k // 10000:04d}-{k // 100 % 100:02d}-{k % 100:02d}").toordinal()
-            for k in keys.tolist()
-        ]
+        for k in np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]])).tolist():
+            if k not in parsed:
+                parse_iso_date(f"{k // 10000:04d}-{k // 100 % 100:02d}-{k % 100:02d}")
+                parsed.add(k)
     except ValueError:
         return None
-    return np.array(ordinals, dtype=np.int32)[np.searchsorted(keys, yyyymmdd)]
+    # ``date.toordinal``, counted in years that start on 1 March so leap days fall last
+    year, monthday = np.divmod(yyyymmdd, 10000)
+    month, day = np.divmod(monthday, 100)
+    early = month < 3
+    year -= early
+    month += 12 * early - 3
+    return 365 * year + year // 4 - year // 100 + year // 400 + (153 * month + 2) // 5 + day - 306
 
 
 def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -228,7 +234,7 @@ def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, lis
     and every later row must have as many fields. Violations raise
     ParseError with the line number. This row parser is the one place
     format errors are worded; the loaders' columnar reads
-    (``read_plain_columns``) hand any file they cannot vouch for back to it.
+    (``read_plain_blocks``) hand any file they cannot vouch for back to it.
     """
     expected = ",".join(header)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -250,11 +256,13 @@ def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, lis
             raise ParseError(f"empty file: missing {expected!r} header", max(lineno, 1))
 
 
-def read_plain_columns(
-    path: str, names: Sequence[str], floats: Sequence[str] = (), exact: bool = False
-) -> dict[str, np.ndarray] | None:
-    """Columns ``names`` of a plain CSV, read with one ``np.loadtxt`` call,
-    or None when the file is not plain.
+def read_plain_blocks(
+    path: str, names: Sequence[str], floats: Sequence[str] = (), exact: bool = False,
+    keep: tuple[str, bytes] | None = None,
+) -> Iterator[dict[str, np.ndarray] | None]:
+    """Columns ``names`` of a plain CSV, one dict per block of whole lines
+    read in one pass, each block parsed by one ``np.loadtxt`` call; a
+    last None when the file is not plain.
 
     A plain file, after an optional UTF-8 byte-order mark, is printable
     ASCII with LF or CRLF line ends, holds no ``"`` and no line that
@@ -262,76 +270,95 @@ def read_plain_columns(
     line with as many comma-separated fields as the header. The header's
     stripped fields must equal ``names`` when ``exact`` and contain them
     otherwise (the first match counts). Columns in ``floats`` come back
-    as float64, the rest unstripped as byte strings as wide as their
-    longest field, so nothing is cut. None says nothing about validity:
-    the caller's row parser decides, and words any error.
+    as float64, the rest unstripped as byte strings as wide as the
+    block's longest field, so nothing is cut. With ``keep``, one of
+    ``names`` and a value, only the rows whose stripped field there
+    equals the value are parsed and yielded; the others are only checked. A
+    caller that meets None drops what the earlier blocks gave it: None
+    says nothing about validity, the caller's row parser decides and
+    words any error.
     """
+    columns = None
     with open(path, "rb") as fh:
         first = fh.readline().removeprefix(codecs.BOM_UTF8)
         fields = first.count(b",") + 1
-        if not first.endswith(b"\n") or _plain_widths(first, fields) is None:
-            return None
-        header = [field.strip() for field in first.decode("ascii").rstrip("\r\n").split(",")]
-        if (exact and tuple(header) != tuple(names)) or not set(names) <= set(header):
-            return None
-        rows, widest = 0, np.zeros(fields, dtype=np.int64)
-        for lines in _line_blocks(fh):
-            widths = _plain_widths(lines, fields)
-            if widths is None:
-                return None
-            rows += len(widths)
-            widest = np.maximum(widest, widths.max(axis=0))
-    if not rows:
+        if first.endswith(b"\n") and _plain_separators(first, fields) is not None:
+            header = [field.strip() for field in first.decode("ascii").rstrip("\r\n").split(",")]
+            if (not exact or tuple(header) == tuple(names)) and set(names) <= set(header):
+                usecols = [header.index(name) for name in names]
+                keep_at = None if keep is None else (header.index(keep[0]), keep[1])
+                for lines in _line_blocks(fh):
+                    columns = _plain_block(lines, fields, names, usecols, floats, keep_at)
+                    yield columns
+                    if columns is None:
+                        return
+    if columns is None:
+        yield None
+
+
+def _plain_block(
+    lines: bytes, fields: int, names: Sequence[str], usecols: list[int], floats: Sequence[str],
+    keep: tuple[int, bytes] | None,
+) -> dict[str, np.ndarray] | None:
+    """One ``read_plain_blocks`` block of LF-terminated ``lines``, or None."""
+    seps = _plain_separators(lines, fields)
+    if seps is None:
         return None
-    usecols = [header.index(name) for name in names]
+    widths = np.diff(seps.ravel(), prepend=-1).reshape(seps.shape) - 1
+    text = lines.decode("ascii")
+    if keep is None:
+        rows = text.split("\n")
+    else:
+        # the kept rows are cut from the text, so loadtxt never sees the others
+        column, value = keep
+        kept = np.flatnonzero(_stripped_field(lines, seps[:, column], widths[:, column]) == value)
+        starts = np.concatenate(([0], seps[:-1, -1] + 1))[kept].tolist()
+        rows, widths = [text[a:b] for a, b in zip(starts, seps[kept, -1].tolist())], widths[kept]
+    widest = widths.max(axis=0, initial=0)
     dtype = [(name, "f8" if name in floats else f"S{max(1, widest[c])}") for name, c in zip(names, usecols)]
     try:
         table = np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, quotechar=None, skiprows=1,
-            usecols=usecols, max_rows=rows, encoding="utf-8-sig", ndmin=1,
-        )
+            rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, usecols=usecols, ndmin=1,
+        ) if len(widths) else np.empty(0, dtype=dtype)
     except ValueError:
         return None
-    if len(table) != rows:
-        return None
-    return {name: table[name] for name in names}
+    return {name: table[name] for name in names} if len(table) == len(widths) else None
+
+
+def _stripped_field(lines: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The fields of ``lines`` that end at offsets ``ends``, ``widths``
+    bytes wide, as stripped byte strings."""
+    width = max(1, int(widths.max()))
+    chars = np.frombuffer(lines, dtype=np.uint8).take((ends - widths)[:, None] + np.arange(width), mode="clip")
+    chars[np.arange(width) >= widths[:, None]] = 0
+    return np.char.strip(chars.view(f"S{width}").ravel())
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
     """The rest of binary file ``fh`` as blocks of whole LF-terminated lines,
     about ``_SCAN_BYTES`` each; a last line without LF gets one."""
-    tail = b""
     while block := fh.read(_SCAN_BYTES):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield tail + block[:cut]
-            tail = block[cut:]
-        else:
-            tail += block
-    if tail:
-        yield tail + b"\n"
+        block += fh.readline()
+        yield block if block.endswith(b"\n") else block + b"\n"
 
 
-def _plain_widths(lines: bytes, fields: int) -> np.ndarray | None:
-    """Field widths, one row per line, of LF-terminated ``lines``; None
-    unless they are plain (see ``read_plain_columns``) and every line has
-    exactly ``fields`` fields."""
-    returns = lines.count(b"\r")
-    if (
-        lines.translate(None, _PLAIN_BYTES)
-        or (returns and returns != lines.count(b"\r\n"))
-        or lines.startswith(b"#")
-        or b"\n#" in lines
-    ):
+def _plain_separators(lines: bytes, fields: int) -> np.ndarray | None:
+    """Offsets of the comma or LF that ends each field, one row per line,
+    of LF-terminated ``lines``; None unless they are plain (see
+    ``read_plain_blocks``) and every line has exactly ``fields`` fields."""
+    if lines.translate(None, _PLAIN_BYTES) or lines.startswith(b"#"):
         return None
     buf = np.frombuffer(lines, dtype=np.uint8)
+    if b"\r" in lines and (buf[np.flatnonzero(buf == 13) + 1] != 10).any():
+        return None
     seps = np.flatnonzero((buf == 44) | (buf == 10))
     if seps.size % fields:
         return None
     seps = seps.reshape(-1, fields)
-    if (buf[seps[:, :-1]] != 44).any() or (buf[seps[:, -1]] != 10).any():
+    ends = seps[:, -1]
+    if (buf[seps[:, :-1]] != 44).any() or (buf[ends] != 10).any() or (buf[ends[:-1] + 1] == 35).any():
         return None
-    return np.diff(seps.ravel(), prepend=-1).reshape(-1, fields) - 1
+    return seps
 
 
 def read_series_csv(path: str) -> DateIndexedSeries:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, NoOverlapError, ParseError, RangeError
+from .errors import CoverageError, NonFiniteValueError, NoOverlapError, ParseError, RangeError
 from .timeseries import (
     COLUMNAR_MIN_BYTES,
     DateIndexedSeries,
@@ -31,11 +31,13 @@ from .timeseries import (
     parse_iso_date,
     read_csv_rows,
     read_only_array,
-    read_plain_columns,
+    read_plain_blocks,
     sequential_sum,
 )
 
 SEGMENT_DAYS = 30
+_START_BITS = 22  # every day ordinal, up to date.max's, is below 2**22
+_FILL_ROWS = 1024  # segments copied at a time by ``segment_array`` with ``rows``
 
 SEGMENT_HEADER = ("keyword", "segment_start", "date", "value")
 WEEKLY_HEADER = ("keyword", "week_start", "value")
@@ -43,28 +45,26 @@ WEEKLY_HEADER = ("keyword", "week_start", "value")
 logger = logging.getLogger(__name__)
 
 
-def _scores(values, what: str, ndim: int = 1) -> np.ndarray:
-    """Read-only float64 copy of ``values``; RangeError names the first outside [0, 100]."""
-    array = read_only_array(values, ndim)
-    outside = (array < 0.0) | (array > 100.0)
-    if outside.any():
-        raise RangeError(f"{what} value {float(array[outside][0])} outside [0, 100]")
-    return array
-
-
-def segment_array(keywords: Sequence[str], starts, values) -> np.ndarray:
+def segment_array(keywords: Sequence[str], starts, values, rows=None) -> np.ndarray:
     """Read-only structured array with one element per segment, in the order given.
 
     Fields: ``keyword`` (str), ``start`` (the int64 day ordinal of the
     first day) and ``values`` (its 30 float64 scores). Scores are checked
-    where they are used, by ``rescale_daily`` and ``msv_merge``.
+    where they are used, by ``rescale_daily`` and ``msv_merge``. With
+    ``rows``, segment i takes the scores ``values[rows[i]]``, copied a
+    slice at a time.
     """
     keywords = np.asarray(keywords, dtype=str)
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(keywords), SEGMENT_DAYS):
+    if values.shape[1:] != (SEGMENT_DAYS,) or (rows is None and len(values) != len(keywords)):
         raise ValueError(f"segments must hold exactly {SEGMENT_DAYS} values each, got shape {values.shape}")
     segments = np.empty(len(keywords), dtype=[("keyword", keywords.dtype), ("start", np.int64), ("values", float, SEGMENT_DAYS)])
-    segments["keyword"], segments["start"], segments["values"] = keywords, starts, values
+    segments["keyword"], segments["start"] = keywords, starts
+    if rows is None:
+        segments["values"] = values
+    else:
+        for i in range(0, len(segments), _FILL_ROWS):
+            segments["values"][i : i + _FILL_ROWS] = values[rows[i : i + _FILL_ROWS]]
     segments.flags.writeable = False
     return segments
 
@@ -80,7 +80,11 @@ class WeeklySeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _scores(self.values, "weekly"))
+        values = read_only_array(self.values, 1)
+        outside = (values < 0.0) | (values > 100.0)
+        if outside.any():
+            raise RangeError(f"weekly value {float(values[outside][0])} outside [0, 100]")
+        object.__setattr__(self, "values", values)
 
 
 def _parse_score(raw: str, lineno: int) -> float:
@@ -102,7 +106,7 @@ def load_segments(path: str) -> np.ndarray:
     ParseError with the offending line number. Segments come back sorted
     by keyword, then start.
 
-    A plain file (see ``read_plain_columns``) of at least
+    A plain file (see ``read_plain_blocks``) of at least
     ``COLUMNAR_MIN_BYTES`` whose rows are all valid is read column-wise;
     any other file, and every error, goes through the row parser, which
     alone words the messages.
@@ -114,39 +118,46 @@ def load_segments(path: str) -> np.ndarray:
 
 
 def _segments_from_columns(path: str) -> np.ndarray | None:
-    """``load_segments`` of a plain, valid file with array operations; None otherwise."""
-    columns = read_plain_columns(path, SEGMENT_HEADER, floats=("value",), exact=True)
-    if columns is None:
+    """``load_segments`` of a plain, valid file with array operations, one
+    block of lines at a time; None otherwise."""
+    # scores by segment, as many as the file could hold at 25 bytes a row; pages never written stay out of memory
+    grid = np.empty((os.path.getsize(path) // (25 * SEGMENT_DAYS), SEGMENT_DAYS))
+    names: dict[str, int] = {}  # keyword codes
+    ids: dict[int, int] = {}  # segment's row in ``grid`` by its code << _START_BITS | start
+    rows, parsed = 0, set()
+    for columns in read_plain_blocks(path, SEGMENT_HEADER, floats=("value",), exact=True):
+        if columns is None:
+            return None
+        # a run of rows with equal raw keyword and start fields is one segment's: its start date is
+        # parsed, its keyword decoded (once per run of equal keywords) and its id looked up once
+        raw, start_fields, values = columns["keyword"], columns["segment_start"], columns["value"]
+        changed = np.concatenate(([True], raw[1:] != raw[:-1]))
+        heads = np.flatnonzero(changed | np.concatenate(([True], start_fields[1:] != start_fields[:-1])))
+        lengths = np.diff(heads, append=len(raw))
+        days = iso_date_ordinals(np.concatenate((start_fields[heads], columns["date"])), parsed)
+        if days is None or not ((values >= 0.0) & (values <= 100.0)).all():
+            return None
+        starts = days[: len(heads)]
+        offsets = days[len(heads) :] - np.repeat(starts, lengths)
+        if ((offsets < 0) | (offsets >= SEGMENT_DAYS)).any():
+            return None
+        fresh = np.flatnonzero(changed)
+        codes = [names.setdefault(field.decode("ascii").strip(), len(names)) for field in raw[fresh].tolist()]
+        keys = np.repeat(np.array(codes, dtype=np.int64) << _START_BITS, np.diff(fresh, append=len(raw)))[heads] | starts
+        filled = len(ids)
+        runs = [ids.setdefault(key, len(ids)) for key in keys.tolist()]
+        if len(ids) > len(grid):
+            return None
+        grid[filled : len(ids)] = np.nan  # not yet supplied: a valid score is never NaN
+        grid[np.repeat(runs, lengths), offsets] = values
+        rows += len(raw)
+    # each segment must hold offsets 0..29 exactly once
+    if rows != len(ids) * SEGMENT_DAYS or np.isnan(grid[: len(ids)]).any():
         return None
-    starts = iso_date_ordinals(columns["segment_start"])
-    offsets = iso_date_ordinals(columns["date"])
-    values = np.ascontiguousarray(columns["value"])
-    if starts is None or offsets is None or not ((values >= 0.0) & (values <= 100.0)).all():
-        return None
-    offsets -= starts
-    if ((offsets < 0) | (offsets >= SEGMENT_DAYS)).any():
-        return None
-    # keyword codes in sorted-keyword order, decoded once per run of equal raw fields
-    raw = columns.pop("keyword")
-    heads = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
-    names = [k.decode("ascii").strip() for k in raw[heads].tolist()]
-    keywords = sorted(set(names))
-    code_of = {name: code for code, name in enumerate(keywords)}
-    codes = np.repeat([code_of[name] for name in names], np.diff(heads, append=len(raw)))
-    del columns, raw  # frees the loaded table before the sort
-
-    # one cell per (keyword, start, offset); sorted, each group must hold offsets 0..29 once
-    first = int(starts.min())
-    span = int(starts.max()) - first + 1
-    cells = (codes.astype(np.int64) * span + (starts - first)) * SEGMENT_DAYS + offsets
-    if len(cells) % SEGMENT_DAYS:
-        return None
-    order = np.argsort(cells, kind="stable")
-    grid = cells[order].reshape(-1, SEGMENT_DAYS)
-    if (grid[:, 0] % SEGMENT_DAYS).any() or (grid != grid[:, :1] + np.arange(SEGMENT_DAYS)).any():
-        return None
-    codes, starts = np.divmod(grid[:, 0] // SEGMENT_DAYS, span)
-    return segment_array(np.array(keywords)[codes], starts + first, values[order].reshape(-1, SEGMENT_DAYS))
+    codes, starts = np.divmod(np.fromiter(ids, dtype=np.int64, count=len(ids)), 1 << _START_BITS)
+    keywords = np.array(list(names))[codes]
+    order = np.lexsort((starts, keywords))
+    return segment_array(keywords[order], starts[order], grid, order)
 
 
 def _segments_from_rows(path: str) -> np.ndarray:
@@ -212,8 +223,18 @@ def load_weekly(path: str) -> dict[str, WeeklySeries]:
 
 def _in_start_order(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts and checked scores of ``segments`` by start, ties broken by
-    their scores, so input order never matters."""
-    values = _scores(segments["values"], "segment", ndim=2)
+    their scores, so input order never matters. The first NaN or
+    infinity, else the first score outside [0, 100], raises an error
+    that names its segment's keyword and start."""
+    values = segments["values"]
+    for error, bad, what in (
+        (NonFiniteValueError, ~np.isfinite(values), "non-finite value {!r}"),
+        (RangeError, (values < 0.0) | (values > 100.0), "segment value {} outside [0, 100]"),
+    ):
+        if bad.any():
+            row, day = divmod(int(bad.argmax()), SEGMENT_DAYS)
+            start = date.fromordinal(int(segments["start"][row]))
+            raise error(f"{what.format(float(values[row, day]))} in segment {str(segments['keyword'][row])!r} starting {start}")
     order = np.lexsort((*values.T[::-1], segments["start"]))
     return segments["start"][order], values[order]
 

@@ -10,7 +10,10 @@ aside rather than raise.
 
 from __future__ import annotations
 
+import os
 import tempfile
+import tracemalloc
+from contextlib import contextmanager
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -19,9 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpwatch import cases, trends
+from warpwatch import cases, timeseries, trends
 from warpwatch.cases import load_linelist
-from warpwatch.timeseries import COLUMNAR_MIN_BYTES, iso_date_ordinals, parse_iso_date, read_plain_columns
+from warpwatch.errors import ParseError
+from warpwatch.timeseries import COLUMNAR_MIN_BYTES, iso_date_ordinals, parse_iso_date, read_plain_blocks
 from warpwatch.trends import load_segments
 
 BASE = date(2020, 3, 1)
@@ -124,14 +128,34 @@ def linelist_key(result):
     return "ok", len(rows), rows.tobytes()
 
 
-def check_segments(path: str) -> None:
-    fast = trends._segments_from_columns(path)
-    assert fast is None or segment_key(("ok", fast)) == segment_key(outcome(trends._segments_from_rows, path))
+@contextmanager
+def scan_bytes(size: int):
+    """Read columnar files in blocks of about ``size`` bytes of whole lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "_SCAN_BYTES", size)
+        yield
 
 
-def check_linelist(path: str, region: str = "NCR", province: str = "NCR") -> None:
-    fast = cases._linelist_from_columns(path, region, province)
-    assert fast is None or linelist_key(("ok", fast)) == linelist_key(outcome(cases._linelist_from_rows, path, region, province))
+def block_sizes(path: str, parts: int) -> tuple[int, int]:
+    """The default block size, and one that cuts ``path`` into about
+    ``parts`` blocks, the last one shorter."""
+    return timeseries._SCAN_BYTES, max(1, os.path.getsize(path) // parts - 1)
+
+
+def check_segments(path: str, parts: int = 3) -> None:
+    expected = segment_key(outcome(trends._segments_from_rows, path))
+    for size in block_sizes(path, parts):
+        with scan_bytes(size):
+            fast = trends._segments_from_columns(path)
+        assert fast is None or segment_key(("ok", fast)) == expected
+
+
+def check_linelist(path: str, region: str = "NCR", province: str = "NCR", parts: int = 3) -> None:
+    expected = linelist_key(outcome(cases._linelist_from_rows, path, region, province))
+    for size in block_sizes(path, parts):
+        with scan_bytes(size):
+            fast = cases._linelist_from_columns(path, region, province)
+        assert fast is None or linelist_key(("ok", fast)) == expected
 
 
 def written(data: bytes) -> str:
@@ -145,21 +169,21 @@ PROPERTY = settings(max_examples=75, deadline=None, suppress_health_check=[Healt
 
 
 @PROPERTY
-@given(segment_files())
-def test_columnar_segments_match_the_row_parser(data):
+@given(segment_files(), st.integers(2, 7))
+def test_columnar_segments_match_the_row_parser(data, parts):
     path = written(data)
     try:
-        check_segments(path)
+        check_segments(path, parts)
     finally:
         Path(path).unlink()
 
 
 @PROPERTY
-@given(linelist_files(), st.sampled_from([("NCR", "NCR"), ("CALABARZON", "CALABARZON"), ("", ""), ("NCR ", "NCR"), ("é", "NCR")]))
-def test_columnar_linelist_matches_the_row_parser(data, place):
+@given(linelist_files(), st.sampled_from([("NCR", "NCR"), ("CALABARZON", "CALABARZON"), ("", ""), ("NCR ", "NCR"), ("é", "NCR")]), st.integers(2, 7))
+def test_columnar_linelist_matches_the_row_parser(data, place, parts):
     path = written(data)
     try:
-        check_linelist(path, *place)
+        check_linelist(path, *place, parts=parts)
     finally:
         Path(path).unlink()
 
@@ -240,6 +264,13 @@ class TestColumnarPieces:
         ordinals = iso_date_ordinals(np.array([text.encode()]))
         assert (None if ordinals is None else int(ordinals[0])) == expected
 
+    def test_ordinals_are_date_toordinal_across_the_calendar(self):
+        days = [date(1, 1, 1) + timedelta(days=n) for n in range(0, date.max.toordinal(), 401)]
+        days += [date(y, m, d) for y in (1, 4, 100, 400, 1900, 2000, 2020, 2100, 9999) for m, d in ((2, 28), (3, 1), (12, 31))]
+        days += [date(y, 2, 29) for y in (4, 400, 2000, 2020)]
+        ordinals = iso_date_ordinals(np.array([d.isoformat().encode() for d in days]))
+        assert ordinals.tolist() == [d.toordinal() for d in days]
+
     def test_strict_parser_rejects_compact_and_week_dates(self):
         for text in ("20200301", "2020-W10-1", "2020-061", "２０２０-03-01"):
             with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
@@ -248,7 +279,7 @@ class TestColumnarPieces:
     def test_columns_are_as_wide_as_their_longest_field(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"\xef\xbb\xbfa, b ,c\r\nxy,1.5,\r\nlonger field,2,z\r\n")
-        columns = read_plain_columns(str(path), ("b", "a"), floats=("b",))
+        [columns] = read_plain_blocks(str(path), ("b", "a"), floats=("b",))
         assert columns["a"].tolist() == [b"xy", b"longer field"]
         assert columns["b"].tolist() == [1.5, 2.0]
 
@@ -260,4 +291,113 @@ class TestColumnarPieces:
     def test_anything_but_plain_is_handed_back(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text)
-        assert read_plain_columns(str(path), ("a", "b")) is None
+        assert list(read_plain_blocks(str(path), ("a", "b"))) == [None]
+
+
+def segment_lines(keywords=("cough", "flu"), segments=2) -> list[str]:
+    """Header and rows of a valid segment file, keyword by keyword."""
+    lines = [SEGMENT_HEADER]
+    for keyword in keywords:
+        for offset in range(segments):
+            start = BASE + timedelta(days=offset)
+            lines += [f"{keyword},{start},{start + timedelta(days=i)},{i + offset}.5" for i in range(30)]
+    return lines
+
+
+class TestBlockEdges:
+    """Constructed segment files read in blocks of a few lines each."""
+
+    def read(self, tmp_path, lines, size, end="\n"):
+        path = tmp_path / "segments.csv"
+        path.write_text("\n".join(lines) + end, encoding="utf-8")
+        with scan_bytes(size):
+            blocks = list(read_plain_blocks(str(path), trends.SEGMENT_HEADER, floats=("value",), exact=True))
+            fast = trends._segments_from_columns(str(path))
+        return blocks, fast, outcome(trends._segments_from_rows, str(path))
+
+    def test_a_segment_and_a_keyword_run_straddle_block_edges(self, tmp_path):
+        lines = segment_lines()
+        # the first read ends inside row 18 of the first segment, and the block takes the rest of that row
+        blocks, fast, rows = self.read(tmp_path, lines, size=len("\n".join(lines[1:18])) + 5)
+        assert len(blocks) > 4 and None not in blocks
+        assert len(blocks[0]["keyword"]) == 18
+        assert segment_key(("ok", fast)) == segment_key(rows)
+
+    def test_a_duplicate_cell_in_a_later_block(self, tmp_path):
+        lines = segment_lines()
+        lines[-1] = lines[1]  # the first segment's first day again, so the last segment lacks its last day
+        blocks, fast, rows = self.read(tmp_path, lines, size=200)
+        assert len(blocks) > 4 and None not in blocks
+        assert fast is None
+        assert rows[1] is ParseError and "duplicate date 2020-03-01 within segment" in rows[2]
+
+    def test_a_non_plain_byte_in_the_last_block_only(self, tmp_path):
+        lines = segment_lines()
+        keyword, start, day, value = lines[-1].split(",")
+        lines[-1] = f'{keyword},{start},{day},"{value}"'
+        blocks, fast, rows = self.read(tmp_path, lines, size=200)
+        assert len(blocks) > 4 and blocks[-1] is None and None not in blocks[:-1]
+        assert fast is None and rows[0] == "ok"
+
+    @pytest.mark.parametrize("size", [1, 200, 1 << 18])
+    def test_no_trailing_newline(self, tmp_path, size):
+        blocks, fast, rows = self.read(tmp_path, segment_lines(), size, end="")
+        assert None not in blocks and sum(len(b["value"]) for b in blocks) == 120
+        assert segment_key(("ok", fast)) == segment_key(rows)
+
+    def test_each_date_is_parsed_once_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(timeseries, "parse_iso_date", lambda text, _parse=parse_iso_date: calls.append(text) or _parse(text))
+        lines = segment_lines()
+        blocks, fast, _ = self.read(tmp_path, lines, size=200)
+        assert len(blocks) > 4 and fast is not None
+        assert sorted(calls) == sorted({field for line in lines[1:] for field in line.split(",")[1:3]})
+
+
+def test_loader_memory_is_bounded_and_flat_in_the_file_size(tmp_path):
+    """Beyond its result and one staging copy of the same size, a columnar
+    loader holds one block's working set, however large the file."""
+    segment_rows = "".join(
+        f"KEYWORD,{BASE + timedelta(days=s)},{BASE + timedelta(days=s + i)},{(7 * s + i) % 100}.25\n"
+        for s in range(60) for i in range(30)
+    )
+    # a line list with the columns of a real export, a third of it outside the region
+    linelist_rows = "".join(
+        f"C{n:06d},{n % 90},{n % 90 // 5 * 5} to {n % 90 // 5 * 5 + 4},{('FEMALE', 'MALE')[n % 2]},"
+        f"{BASE + timedelta(days=n % 300 - 3)},{BASE + timedelta(days=n % 300 - 1)},{BASE + timedelta(days=n % 300)},,"
+        f"{BASE + timedelta(days=n % 300 + n % 17) if n % 5 else ''},{'RECOVERED' if n % 5 else ''},No,"
+        f"{'NCR' if n % 3 else 'CALABARZON'},NCR,CITY OF MANILA,PH133900000,BARANGAY {n % 900},{'MILD' if n % 5 else 'RECOVERED'},No\n"
+        for n in range(3000)
+    )
+    linelist_header = (
+        "CaseCode,Age,AgeGroup,Sex,DateSpecimen,DateResultRelease,DateRepConf,DateDied,DateRepRem,RemovalType,"
+        "Admitted,RegionRes,ProvinceRes,CityMunRes,CityMuniPSGC,BarangayRes,HealthStatus,Quarantined\n"
+    )
+
+    def files(mib):
+        segments, linelist = tmp_path / f"segments{mib}.csv", tmp_path / f"linelist{mib}.csv"
+        keywords = mib * 2**20 // len(segment_rows.replace("KEYWORD", "sore throat remedy 10"))
+        phrases = ("social distancing", "sore throat remedy", "face shield price")
+        segments.write_text(SEGMENT_HEADER + "\n" + "".join(
+            segment_rows.replace("KEYWORD", f"{phrases[k % 3]} {k}") for k in range(keywords)
+        ))
+        linelist.write_text(linelist_header + linelist_rows * (mib * 2**20 // len(linelist_rows)))
+        return str(segments), str(linelist)
+
+    def working_set(load, *args):
+        tracemalloc.start()
+        try:
+            result = load(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - 2 * result.nbytes
+
+    (segments2, linelist2), (segments4, linelist4) = files(2), files(4)
+    for load, small, large in (
+        (load_segments, (segments2,), (segments4,)),
+        (load_linelist, (linelist2, "NCR", "NCR"), (linelist4, "NCR", "NCR")),
+    ):
+        small_set, large_set = working_set(load, *small), working_set(load, *large)
+        assert large_set <= 5 * 2**19
+        assert large_set <= small_set + 2**18

@@ -48,9 +48,10 @@ class TestTypes:
     )
     @pytest.mark.parametrize("reconstruct", [lambda s: rescale_daily(s, weekly([50.0] * 5)), msv_merge], ids=["rescale", "msv"])
     def test_segment_range_check(self, reconstruct, bad, error, message):
-        segments = segments_of(segment(0, [1.0] * 29 + [bad]))
-        with pytest.raises(error, match=message):
+        segments = segments_of(segment(0, [1.0] * 30), segment(3, [1.0] * 29 + [bad], keyword="flu"))
+        with pytest.raises(error, match=message) as caught:
             reconstruct(segments)
+        assert str(caught.value).endswith(" in segment 'flu' starting 2020-03-19")
 
     def test_weekly_range_check_names_the_value(self):
         with pytest.raises(RangeError, match="weekly value -1.0 outside"):
