@@ -11,7 +11,6 @@ exception is a fault in the program and propagates.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -53,6 +52,8 @@ from .trends import load_segments, load_weekly, msv_merge, rescale_daily
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL, 3.6 MB of peak RSS a run pays only once its outputs are built
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -35,9 +35,10 @@ _DATE_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9)  # where YYYY-MM-DD keeps its digits
 _DATE_WEIGHTS = np.array([10_000_000, 1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int32)  # their place values in YYYYMMDD
 # bytes a plain CSV may hold: printable ASCII but the quote character, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"') + b"\r\n"
-# bytes per read of the block reader: on a 315k-row segment file, 512 KiB
-# raised the loading process's peak RSS by 1.5 MB for a few percent of speed
-_SCAN_BYTES = 1 << 18
+# bytes per read of the block reader: on a 315k-row segment file, 256 KiB
+# raised the loading process's peak RSS by 1.2 MB (0.9 MB on a 300k-row line
+# list) at about the same speed; 64 KiB saved 0.6 MB more for 0.04 s a load
+_SCAN_BYTES = 1 << 17
 # The loaders send smaller files straight to their row parsers: those are
 # about as fast there, and the block reader's fixed cost (numpy's text
 # reader paged in) would raise a sweep's peak RSS: by 0.6-0.9 MB, measured

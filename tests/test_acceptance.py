@@ -7,22 +7,28 @@ they print. Tolerances are pinned here and nowhere else.
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpwatch
 from warpwatch.cases import active_cases
 from warpwatch.cli import main
 from warpwatch.dtw import BandSpec, dtw
 from warpwatch.errors import BandInfeasibleError
 from warpwatch.network import clustering_coefficient, distance_correlation, network_density
 from warpwatch.stats import chi_square_sf, kruskal_wallis
-from warpwatch.testkit import admits, brute_force_dtw, graph_metric_oracle
 from warpwatch.timeseries import DateIndexedSeries
+
+from oracles import admits, brute_force_dtw, graph_metric_oracle
 
 MAR16 = date(2020, 3, 16)
 RADIUS_LADDER = (7, 15, 20, 30, 50)
@@ -274,21 +280,17 @@ def test_c10_lag_recovery_end_to_end(tmp_path):
         assert time.perf_counter() - started < 5.0
 
 
-def test_c11_thread_count_determinism(tmp_path, sweep_inputs, monkeypatch):
-    with criterion("C11 sweep byte-identical under WARPWATCH_THREADS=1 and =8"):
-        outputs = {}
-        for threads in ("1", "8"):
-            monkeypatch.setenv("WARPWATCH_THREADS", threads)
-            out = tmp_path / f"threads_{threads}"
-            code = main(
-                ["sweep", "--segments", sweep_inputs.segments, "--weekly", sweep_inputs.weekly,
-                 "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR",
-                 "--outdir", str(out)]
-            )
-            assert code == 0
-            outputs[threads] = (
-                (out / "sweep.csv").read_bytes(),
-                (out / "parameter_report.json").read_bytes(),
-            )
-        assert outputs["1"][0] == outputs["8"][0]
-        assert outputs["1"][1] == outputs["8"][1]
+def test_c11_fresh_interpreter_determinism(tmp_path, sweep_inputs):
+    with criterion("C11 sweep byte-identical in this process and in a fresh interpreter under another PYTHONHASHSEED"):
+        argv = ["sweep", "--segments", sweep_inputs.segments, "--weekly", sweep_inputs.weekly,
+                "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR", "--outdir"]
+        assert main([*argv, str(tmp_path / "here")]) == 0
+        # the child imports the same warpwatch as this process, with a hash seed this one does not have
+        src = str(Path(warpwatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+        child = subprocess.run([sys.executable, "-m", "warpwatch.cli", *argv, str(tmp_path / "fresh")],
+                               capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+        for name in ("sweep.csv", "parameter_report.json"):
+            assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

@@ -18,6 +18,8 @@ from warpwatch.errors import DegenerateRangeError
 from warpwatch.testkit import Lcg
 from warpwatch.timeseries import COLUMNAR_MIN_BYTES, DateIndexedSeries, minmax_normalize, read_series_csv, write_series_csv
 
+from conftest import KEYWORDS
+
 MAR16 = date(2020, 3, 16)
 
 
@@ -643,23 +645,26 @@ class TestManifest:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7]}))
         inputs = sweep_inputs
+        # each run's input files; the panel is the preprocess run's output, one CSV per keyword
         runs = [
-            ("synth", [], "case.csv"),
+            ("synth", [], "case.csv", []),
             ("preprocess", ["--segments", inputs.segments, "--weekly", inputs.weekly,
-                            "--method", "rescale"], "cough.csv"),
+                            "--method", "rescale"], "cough.csv", [inputs.segments, inputs.weekly]),
             ("metrics", ["--panel-dir", tmp_path / "preprocess", "--metric", "density",
-                         "--threshold", 0.5, "--window", 15], "metric.csv"),
+                         "--threshold", 0.5, "--window", 15], "metric.csv",
+             [tmp_path / "preprocess" / f"{keyword}.csv" for keyword in KEYWORDS]),
             ("cases", ["--linelist", inputs.linelist, "--region", "NCR", "--province", "NCR",
                        "--start", inputs.start.isoformat(), "--end", inputs.end.isoformat()],
-             "confirmed.csv"),
+             "confirmed.csv", [inputs.linelist]),
             ("dtw", ["--case", tmp_path / "synth" / "case.csv",
-                     "--metric", tmp_path / "synth" / "metric.csv"], "dtw.json"),
+                     "--metric", tmp_path / "synth" / "metric.csv"], "dtw.json",
+             [tmp_path / "synth" / "case.csv", tmp_path / "synth" / "metric.csv"]),
             ("sweep", ["--segments", inputs.segments, "--weekly", inputs.weekly,
                        "--linelist", inputs.linelist, "--region", "NCR", "--province", "NCR",
-                       "--config", config], "sweep.csv"),
+                       "--config", config], "sweep.csv", [inputs.segments, inputs.linelist, inputs.weekly]),
         ]
-        assert {name for name, _, _ in runs} == set(subparsers.choices)
-        for name, argv, artifact in runs:
+        assert {name for name, _, _, _ in runs} == set(subparsers.choices)
+        for name, argv, artifact, input_paths in runs:
             assert run(name, *argv, "--outdir", tmp_path / name) == 0
             path = tmp_path / name / artifact
             if artifact.endswith(".json"):
@@ -673,6 +678,9 @@ class TestManifest:
             }
             assert manifest["command"] == name
             assert set(manifest["parameters"]) == flags | ({"domains"} if name == "sweep" else set())
+            assert manifest["inputs"] == {
+                str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in input_paths
+            }
 
 
 def bad_date(flag, raw):
@@ -776,6 +784,36 @@ class TestEntryPoint:
         assert result.stdout.splitlines()[-1] == "False"
         report = json.loads((out / "parameter_report.json").read_text(encoding="utf-8"))
         assert all(0.0 <= entry["p_value"] <= 1.0 for entry in report["parameters"].values())
+
+    def test_openssl_is_loaded_only_for_the_manifest_digest(self, tmp_path):
+        # hashlib maps OpenSSL (about 3.6 MB resident): importing the CLI must not load it, and
+        # the columnar loaders must return before it is, so it never adds to their peak
+        src = str(Path(warpwatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys; import warpwatch.cli as cli\n"
+            "seen = ['_hashlib' in sys.modules]\n"
+            "def watched(load):\n"
+            "    def call(*args):\n"
+            "        result = load(*args); seen.append('_hashlib' in sys.modules); return result\n"
+            "    return call\n"
+            "cli.load_segments, cli.load_linelist = watched(cli.load_segments), watched(cli.load_linelist)\n"
+            "code = cli.main(sys.argv[1:]); print(seen, '_hashlib' in sys.modules); sys.exit(code)\n"
+        )
+        segments, _ = write_columnar_trends(tmp_path)
+        linelist = write_dirty_linelist(tmp_path / "linelist.csv")
+        for argv in (
+            ["preprocess", "--segments", segments, "--method", "msv"],
+            ["cases", "--linelist", linelist, "--region", "NCR", "--province", "NCR",
+             "--start", "2020-04-01", "--end", "2020-06-15"],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", script, *map(str, argv), "--outdir", str(tmp_path / argv[0])],
+                capture_output=True, text=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            # absent at import and when the loader returned; present once the manifest was hashed
+            assert result.stdout.splitlines()[-1] == "[False, False] True"
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run("frobnicate") == 2

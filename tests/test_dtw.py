@@ -11,7 +11,8 @@ from warpwatch.errors import (
     LengthMismatchError,
     NonFiniteValueError,
 )
-from warpwatch.testkit import admits, brute_force_dtw
+
+from oracles import admits, brute_force_dtw
 
 UNBOUNDED = BandSpec()
 

@@ -26,8 +26,9 @@ from warpwatch.network import (
     network_density,
     threshold_graph,
 )
-from warpwatch.testkit import graph_metric_oracle
 from warpwatch.timeseries import DateIndexedSeries
+
+from oracles import graph_metric_oracle
 
 START = date(2020, 3, 16)
 
