@@ -25,9 +25,7 @@ from .stats import chi_square_sf, kruskal_wallis, rank_with_ties
 from .sweep import (
     ParameterReport,
     Preprocess,
-    SweepConfig,
-    SweepResult,
-    enumerate_configs,
+    lattice_shape,
     optimal_configs,
     run_sweep,
     summarize_parameter,
@@ -67,11 +65,9 @@ __all__ = [
     "rank_with_ties",
     "kruskal_wallis",
     "chi_square_sf",
-    "SweepConfig",
-    "SweepResult",
     "ParameterReport",
     "Preprocess",
-    "enumerate_configs",
+    "lattice_shape",
     "run_sweep",
     "optimal_configs",
     "summarize_parameter",

@@ -11,6 +11,7 @@ exception is a fault in the program and propagates.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -32,7 +33,6 @@ from .sweep import (
     PARAMETER_NAMES,
     WINDOWS,
     Preprocess,
-    enumerate_configs,
     level_label,
     optimal_configs,
     parameter_reports,
@@ -299,7 +299,7 @@ def _cmd_sweep(args) -> int:
 
     _, case_series = _derive_cases(args.linelist, args.region, args.province, start, end)
 
-    results = run_sweep(panels, case_series, enumerate_configs(domains))
+    results = run_sweep(panels, case_series, domains)
 
     input_paths = [args.segments, args.linelist] + ([args.weekly] if args.weekly else [])
     manifest = _manifest(
@@ -315,19 +315,19 @@ def _cmd_sweep(args) -> int:
         out / "sweep.csv",
         [*PARAMETER_NAMES, "dtw_score", "status"],
         (
-            [*map(r.config.level, PARAMETER_NAMES)]
-            + ["" if r.dtw_score is None else format_value(r.dtw_score), r.status]
-            for r in results
+            [*(str(level_label(level)) for level in levels)]
+            + [format_value(r.score) if r.ok else "", r.status]
+            for levels, r in zip(itertools.product(*(domains[name] for name in PARAMETER_NAMES)), results)
         ),
         _preamble(manifest),
     )
 
-    succeeded = [r for r in results if r.ok]
+    succeeded = int(results.ok.sum())
     if not succeeded:
         print("error: every configuration failed; see the status column", file=sys.stderr)
         return 2
 
-    reports = parameter_reports(results)
+    reports = parameter_reports(results, domains)
     _write_json(
         out / "parameter_report.json",
         {
@@ -348,13 +348,13 @@ def _cmd_sweep(args) -> int:
         out / "optimal_configs.csv",
         [*optimal_columns, "dtw_score"],
         (
-            [*map(r.config.level, optimal_columns), format_value(r.dtw_score)]
-            for r in optimal_configs(results)
+            [*(str(level_label(levels[name])) for name in optimal_columns), format_value(score)]
+            for levels, score in optimal_configs(results, domains)
         ),
         _preamble(manifest),
     )
     print(
-        f"swept {len(results)} configurations ({len(succeeded)} scored); artifacts in {out}"
+        f"swept {len(results)} configurations ({succeeded} scored); artifacts in {out}"
     )
     return 0
 

@@ -61,38 +61,6 @@ def level_label(value: Enum | float | int) -> str | float | int:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """One point of the parameter lattice."""
-
-    metric: MetricKind
-    preprocess: Preprocess
-    threshold: float
-    window: int
-    case_type: CaseKind
-    radius: int
-
-    def sort_key(self) -> tuple[int, ...]:
-        """Position within the declared domain ordering (the lattice order)."""
-        return tuple(DOMAINS[name].index(getattr(self, name)) for name in PARAMETER_NAMES)
-
-    def level(self, parameter: str) -> str:
-        return str(level_label(getattr(self, parameter)))
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Score for one configuration, or the reason it could not be scored."""
-
-    config: SweepConfig
-    dtw_score: float | None
-    status: str = "ok"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-@dataclass(frozen=True)
 class ParameterReport:
     """Marginal effect of one parameter: per-level means plus the rank test."""
 
@@ -103,10 +71,9 @@ class ParameterReport:
     significant: bool
 
 
-def enumerate_configs(domains: Mapping[str, Sequence] = DOMAINS) -> list[SweepConfig]:
-    """Cartesian product, in lattice order, of ``domains`` (parameter -> levels)."""
-    levels = (domains[name] for name in PARAMETER_NAMES)
-    return [SweepConfig(*combo) for combo in itertools.product(*levels)]
+def lattice_shape(domains: Mapping[str, Sequence] = DOMAINS) -> tuple[int, ...]:
+    """One axis per parameter, in declared order: ``results.score.reshape(lattice_shape(domains))``."""
+    return tuple(len(domains[name]) for name in PARAMETER_NAMES)
 
 
 class _MissingInput(WarpwatchError):
@@ -116,11 +83,17 @@ class _MissingInput(WarpwatchError):
 def run_sweep(
     panels: Mapping[Preprocess, KeywordPanel],
     case_series: Mapping[CaseKind, DateIndexedSeries],
-    configs: Sequence[SweepConfig] | None = None,
-) -> list[SweepResult]:
-    """Score every configuration: build the metric series, min-max
-    normalize the case series, align date ranges, then run banded DTW
-    with the case series as the warped axis.
+    domains: Mapping[str, Sequence] = DOMAINS,
+) -> np.recarray:
+    """Score every configuration of ``domains`` (parameter -> levels): build
+    the metric series, min-max normalize the case series, align date
+    ranges, then run banded DTW with the case series as the warped axis.
+
+    The result holds one record per configuration, in ``itertools.product``
+    order over the parameters as declared: ``score`` (NaN where not
+    scored), ``status`` ("ok" or the reason) and ``ok``. It is flat, so
+    ``len`` counts configurations and iteration yields records;
+    ``results.score.reshape(lattice_shape(domains))`` is the lattice.
 
     Three memoised stages feed the configurations, each computed on
     first use and shared by every configuration that needs it: the
@@ -138,7 +111,7 @@ def run_sweep(
     series are normalized and metric values lie in [0, 1], so no
     distance overflows.
     """
-    cfgs = list(configs) if configs is not None else enumerate_configs()
+    cfgs = list(itertools.product(*(domains[name] for name in PARAMETER_NAMES)))
 
     @functools.cache
     def normalized_case(case_type: CaseKind) -> DateIndexedSeries:
@@ -160,67 +133,71 @@ def run_sweep(
         first = panels[preprocess].start_date + timedelta(days=window - 1)
         return metric_series_from_matrices(matrices, first, metric, threshold)
 
-    results: list[SweepResult | None] = [None] * len(cfgs)
+    scores = np.full(len(cfgs), np.nan)
+    statuses = ["ok"] * len(cfgs)
 
     def fail(index: int, exc: WarpwatchError) -> None:
-        status = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
-        results[index] = SweepResult(cfgs[index], None, status)
+        statuses[index] = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
 
-    for window, radius in dict.fromkeys((cfg.window, cfg.radius) for cfg in cfgs):
+    for window, radius in dict.fromkeys((w, r) for _, _, _, w, _, r in cfgs):
         stacks: dict[int, list] = {}  # series length -> [(index, case values, metric values)]
-        for index, cfg in enumerate(cfgs):
-            if (cfg.window, cfg.radius) != (window, radius):
+        for index, (metric, preprocess, threshold, w, case_type, r) in enumerate(cfgs):
+            if (w, r) != (window, radius):
                 continue
             try:
-                case = normalized_case(cfg.case_type)
-                metric = metric_values(cfg.metric, cfg.preprocess, cfg.threshold, cfg.window)
-                case, metric = align_ranges(case, metric)
-                stacks.setdefault(len(case.values), []).append((index, case.values, metric.values))
+                case = normalized_case(case_type)
+                series = metric_values(metric, preprocess, threshold, window)
+                case, series = align_ranges(case, series)
+                stacks.setdefault(len(case.values), []).append((index, case.values, series.values))
             except WarpwatchError as exc:
                 fail(index, exc)
         for stack in stacks.values():
             indices, xs, ys = zip(*stack)
             try:
-                distances = dtw(xs, ys, BandSpec(radius)).tolist()
+                scores[list(indices)] = dtw(xs, ys, BandSpec(radius))
             except WarpwatchError as exc:
                 for index in indices:
                     fail(index, exc)
-                continue
-            for index, distance in zip(indices, distances):
-                results[index] = SweepResult(cfgs[index], distance, "ok")
-    return results
+    status = np.array(statuses)
+    return np.rec.fromarrays([scores, status, status == "ok"], names="score,status,ok")
 
 
-def optimal_configs(results: Sequence[SweepResult]) -> list[SweepResult]:
-    """Best (lowest-score) result per (metric, case_type) pair.
+def optimal_configs(results: np.recarray, domains: Mapping[str, Sequence] = DOMAINS) -> list[tuple[dict, float]]:
+    """Best (lowest-score) configuration per (metric, case_type) pair, as
+    (parameter -> level, score).
 
-    Ties break toward the lexicographically earliest configuration; rows
-    come back in the declared (metric, case_type) order. Groups with no
-    successful result are omitted.
+    Ties break toward the earliest configuration in lattice order; rows
+    come back in the declared (metric, case_type) order. Pairs with no
+    scored configuration are omitted.
     """
-    if not results:
-        raise ValueError("no results supplied")
-    best: dict[tuple[MetricKind, CaseKind], SweepResult] = {}
-    for r in sorted((r for r in results if r.ok), key=lambda r: (r.dtw_score, r.config.sort_key())):
-        best.setdefault((r.config.metric, r.config.case_type), r)
-    return [best[key] for key in itertools.product(METRICS, CASE_TYPES) if key in best]
+    # metric and case_type first, the other four axes in lattice order, so a C-order argmin breaks ties
+    blocks = np.moveaxis(results.score.reshape(lattice_shape(domains)), 4, 1)
+    rows = []
+    for m, c in np.ndindex(blocks.shape[:2]):
+        if np.isnan(blocks[m, c]).all():
+            continue
+        p, t, w, r = np.unravel_index(np.nanargmin(blocks[m, c]), blocks.shape[2:])
+        levels = {name: domains[name][i] for name, i in zip(PARAMETER_NAMES, (m, p, t, w, c, r))}
+        rows.append((levels, float(blocks[m, c, p, t, w, r])))
+    return rows
 
 
-def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> ParameterReport:
+def summarize_parameter(
+    results: np.recarray, parameter: str, domains: Mapping[str, Sequence] = DOMAINS
+) -> ParameterReport:
     """Per-level mean scores for one parameter plus a Kruskal-Wallis test.
 
-    Error entries are excluded; levels are ordered as declared in the
-    lattice, restricted to the levels actually present.
+    Unscored configurations are excluded; levels are ordered as in
+    ``domains``, restricted to the levels with a score.
     """
     if parameter not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {parameter!r}")
-    scored = [r for r in results if r.ok]
+    scores = results.score.reshape(lattice_shape(domains))
     groups: dict[str, list[float]] = {}
-    for value in DOMAINS[parameter]:
-        label = str(level_label(value))
-        member = [r.dtw_score for r in scored if r.config.level(parameter) == label]
-        if member:
-            groups[label] = member
+    for i, value in enumerate(domains[parameter]):
+        member = scores.take(i, PARAMETER_NAMES.index(parameter))
+        if scored := member[~np.isnan(member)].tolist():
+            groups[str(level_label(value))] = scored
     if not groups:
         raise ValueError(f"no successful results to summarize for {parameter!r}")
     level_means = {label: sequential_sum(vals) / len(vals) for label, vals in groups.items()}
@@ -241,6 +218,6 @@ def summarize_parameter(results: Sequence[SweepResult], parameter: str) -> Param
     )
 
 
-def parameter_reports(results: Sequence[SweepResult]) -> list[ParameterReport]:
+def parameter_reports(results: np.recarray, domains: Mapping[str, Sequence] = DOMAINS) -> list[ParameterReport]:
     """One report per lattice parameter, in declared order."""
-    return [summarize_parameter(results, name) for name in PARAMETER_NAMES]
+    return [summarize_parameter(results, name, domains) for name in PARAMETER_NAMES]

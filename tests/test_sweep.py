@@ -1,7 +1,10 @@
+import itertools
 import math
+import warnings
 from collections import Counter
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from warpwatch import sweep
@@ -19,9 +22,7 @@ from warpwatch.sweep import (
     METRICS,
     PARAMETER_NAMES,
     Preprocess,
-    SweepConfig,
-    SweepResult,
-    enumerate_configs,
+    lattice_shape,
     optimal_configs,
     parameter_reports,
     run_sweep,
@@ -60,104 +61,100 @@ def make_cases(length=50, lag=4):
     return {CaseKind.CONFIRMED: confirmed, CaseKind.ACTIVE: active}
 
 
-def result_for(config, score):
-    return SweepResult(config, score, "ok")
+def product(domains=DOMAINS):
+    """The lattice's configurations, in the order the sweep scores them."""
+    return list(itertools.product(*(domains[name] for name in PARAMETER_NAMES)))
 
 
-class TestEnumerateConfigs:
+def records(scores):
+    """A sweep result holding ``scores`` in lattice order; NaN reads as a failed configuration."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    status = np.where(np.isnan(scores), "DegenerateRangeError: constant", "ok")
+    return np.rec.fromarrays([scores, status, status == "ok"], names="score,status,ok")
+
+
+def one_level(levels):
+    """Domains whose only configuration is ``levels``."""
+    return {name: (level,) for name, level in zip(PARAMETER_NAMES, levels)}
+
+
+def panels_and_cases():
+    return {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}, make_cases()
+
+
+class TestLattice:
     def test_full_lattice_has_320_points(self):
-        configs = enumerate_configs()
-        assert len(configs) == 320
-        assert len(set(configs)) == 320
+        assert lattice_shape() == (2, 2, 4, 2, 2, 5)
+        assert len(set(product())) == math.prod(lattice_shape()) == 320
 
     def test_product_arithmetic(self):
         assert 2 * 2 * 4 * 2 * 2 * 5 == 320
 
-    def test_lexicographic_head(self):
-        first = enumerate_configs()[0]
-        assert first == SweepConfig(
-            MetricKind.DENSITY, Preprocess.RESCALE, 0.4, 15, CaseKind.CONFIRMED, 7
-        )
-
-    def test_lexicographic_order_matches_sort_key(self):
-        configs = enumerate_configs()
-        keys = [c.sort_key() for c in configs]
-        assert keys == sorted(keys)
+    def test_lexicographic_head(self, small_results):
+        domains, results = small_results
+        first = (MetricKind.DENSITY, Preprocess.RESCALE, 0.5, 15, CaseKind.CONFIRMED, 7)
+        assert product(domains)[0] == first
+        assert run_sweep(*panels_and_cases(), one_level(first)).score[0] == results.score[0]
 
     def test_restricted_domains(self):
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "radius": (7, 50)})
-        assert len(configs) == 2 * 2 * 1 * 2 * 2 * 2
+        domains = {**DOMAINS, "threshold": (0.5,), "radius": (7, 50)}
+        assert lattice_shape(domains) == (2, 2, 1, 2, 2, 2)
+        assert math.prod(lattice_shape(domains)) == len(product(domains)) == 2 * 2 * 1 * 2 * 2 * 2
 
 
 @pytest.fixture(scope="module")
 def small_results():
-    panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-    configs = enumerate_configs(
-        {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 15, 20, 30, 50)}
-    )
-    return configs, run_sweep(panels, make_cases(), configs)
+    panels, cases = panels_and_cases()
+    domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 15, 20, 30, 50)}
+    return domains, run_sweep(panels, cases, domains)
 
 
 class TestRunSweep:
 
     def test_one_result_per_config_in_order(self, small_results):
-        configs, results = small_results
-        assert [r.config for r in results] == configs
+        # record k is the k-th configuration of the product: rescoring it alone gives its score
+        domains, results = small_results
+        assert len(results) == math.prod(lattice_shape(domains)) == 40
+        panels, cases = panels_and_cases()
+        for levels, r in zip(product(domains), results):
+            assert run_sweep(panels, cases, one_level(levels)).score[0] == r.score
 
     def test_all_scored_on_clean_inputs(self, small_results):
         _, results = small_results
-        assert all(r.ok for r in results)
-        assert all(r.dtw_score >= 0.0 for r in results)
+        assert results.ok.all() and set(results.status) == {"ok"}
+        assert (results.score >= 0.0).all()
 
     def test_band_nesting_result_wise(self, small_results):
-        _, results = small_results
-        by_config = {r.config: r for r in results}
-        for r in results:
-            for tighter, looser in zip((7, 15, 20, 30), (15, 20, 30, 50)):
-                if r.config.radius == tighter:
-                    partner = by_config[
-                        SweepConfig(
-                            r.config.metric,
-                            r.config.preprocess,
-                            r.config.threshold,
-                            r.config.window,
-                            r.config.case_type,
-                            looser,
-                        )
-                    ]
-                    assert r.dtw_score >= partner.dtw_score - 1e-12
+        domains, results = small_results
+        scores = results.score.reshape(lattice_shape(domains))
+        assert domains["radius"] == (7, 15, 20, 30, 50)
+        assert np.all(np.diff(scores, axis=-1) <= 1e-12)
 
     def test_rerun_is_identical(self, small_results):
-        configs, results = small_results
-        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        again = run_sweep(panels, make_cases(), configs)
-        assert [(r.config, r.dtw_score, r.status) for r in results] == [
-            (r.config, r.dtw_score, r.status) for r in again
-        ]
+        domains, results = small_results
+        again = run_sweep(*panels_and_cases(), domains)
+        assert results.score.tobytes() == again.score.tobytes()
+        assert results.status.tolist() == again.status.tolist()
 
     def test_rescoring_a_result_reproduces_it(self, small_results):
-        _, results = small_results
-        sample = results[3]
-        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        redone = run_sweep(panels, make_cases(), [sample.config])
-        assert redone[0].dtw_score == sample.dtw_score
+        domains, results = small_results
+        redone = run_sweep(*panels_and_cases(), one_level(product(domains)[3]))
+        assert len(redone) == 1 and redone.score[0] == results.score[3]
 
     def test_degenerate_case_series_isolated(self):
-        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        cases = make_cases()
+        panels, cases = panels_and_cases()
         cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
-        results = run_sweep(panels, cases, configs)
-        for r in results:
-            if r.config.case_type is CaseKind.ACTIVE:
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)}
+        results = run_sweep(panels, cases, domains)
+        for (*_, case_type, _), r in zip(product(domains), results):
+            if case_type is CaseKind.ACTIVE:
                 assert not r.ok and "DegenerateRangeError" in r.status
-                assert r.dtw_score is None
+                assert math.isnan(r.score)
             else:
                 assert r.ok
 
     def test_stages_are_shared_across_the_full_lattice(self, monkeypatch):
-        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        cases = make_cases()
+        panels, cases = panels_and_cases()
         calls = {"corr": [], "metric": [], "dtw": []}
 
         def counting_corr(panel, window, _inner=sweep.correlation_matrix_sequence):
@@ -176,7 +173,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "metric_series_from_matrices", counting_metric)
         monkeypatch.setattr(sweep, "dtw", counting_dtw)
         results = run_sweep(panels, cases)
-        assert len(results) == 320 and all(r.ok for r in results)
+        assert len(results) == 320 and results.ok.all()
         # once per (preprocess, window) and once per (metric, preprocess, threshold, window)
         assert sorted(calls["corr"]) == sorted(
             {(id(panels[p]), w) for p in Preprocess for w in (15, 30)}
@@ -192,33 +189,32 @@ class TestRunSweep:
         )
         stacks = {(p, w): correlation_matrix_sequence(panels[p], w) for p in Preprocess for w in (15, 30)}
         expected = Counter()
-        for cfg in enumerate_configs():
-            stack = stacks[cfg.preprocess, cfg.window]
-            first = START + timedelta(days=cfg.window - 1)
-            metric = metric_series_from_matrices(stack, first, cfg.metric, cfg.threshold)
-            case, metric = align_ranges(minmax_normalize(cases[cfg.case_type]), metric)
-            expected[cfg.radius, case.values.tobytes(), metric.values.tobytes()] += 1
+        for metric_kind, preprocess, threshold, window, case_type, radius in product():
+            first = START + timedelta(days=window - 1)
+            metric = metric_series_from_matrices(stacks[preprocess, window], first, metric_kind, threshold)
+            case, metric = align_ranges(minmax_normalize(cases[case_type]), metric)
+            expected[radius, case.values.tobytes(), metric.values.tobytes()] += 1
         assert stacked == expected
 
     def test_case_error_wins_over_missing_panel(self):
         panels = {Preprocess.RESCALE: make_panel(seed=1)}
         cases = make_cases()
         cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
-        for r in run_sweep(panels, cases, configs):
-            if r.config.case_type is CaseKind.ACTIVE:
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)}
+        for (_, preprocess, _, _, case_type, _), r in zip(product(domains), run_sweep(panels, cases, domains)):
+            if case_type is CaseKind.ACTIVE:
                 assert r.status.startswith("DegenerateRangeError: constant series")
-            elif r.config.preprocess is Preprocess.MSV:
+            elif preprocess is Preprocess.MSV:
                 assert r.status == "missing panel: msv"
             else:
                 assert r.ok
 
     def test_missing_case_series_status(self):
-        panels = {Preprocess.RESCALE: make_panel(seed=1), Preprocess.MSV: make_panel(seed=2)}
-        cases = {CaseKind.CONFIRMED: make_cases()[CaseKind.CONFIRMED]}
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
-        for r in run_sweep(panels, cases, configs):
-            expected = "missing case series: active" if r.config.case_type is CaseKind.ACTIVE else "ok"
+        panels, cases = panels_and_cases()
+        del cases[CaseKind.ACTIVE]
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)}
+        for (*_, case_type, _), r in zip(product(domains), run_sweep(panels, cases, domains)):
+            expected = "missing case series: active" if case_type is CaseKind.ACTIVE else "ok"
             assert r.status == expected
 
     def test_panel_too_short_for_window_30(self):
@@ -226,98 +222,125 @@ class TestRunSweep:
             Preprocess.RESCALE: make_panel(length=25, seed=1),
             Preprocess.MSV: make_panel(length=25, seed=2),
         }
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "radius": (7,)})
-        results = run_sweep(panels, make_cases(length=25), configs)
-        statuses = {r.status for r in results if r.config.window == 30}
-        assert statuses == {
+        domains = {**DOMAINS, "threshold": (0.5,), "radius": (7,)}
+        results = run_sweep(panels, make_cases(length=25), domains)
+        window = np.array([levels[3] for levels in product(domains)])
+        assert set(results.status[window == 30]) == {
             "InsufficientHistoryError: panel of 25 days cannot support a 30-day window"
         }
-        assert all(r.ok for r in results if r.config.window == 15)
+        assert results.ok[window == 15].all()
 
     def test_missing_panel_isolated(self):
         panels = {Preprocess.RESCALE: make_panel(seed=1)}
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)})
-        results = run_sweep(panels, make_cases(), configs)
-        for r in results:
-            assert r.ok == (r.config.preprocess is Preprocess.RESCALE)
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)}
+        for (_, preprocess, *_), r in zip(product(domains), run_sweep(panels, make_cases(), domains)):
+            assert r.ok == (preprocess is Preprocess.RESCALE)
+
+    def test_records_count_as_the_benchmark_tracer_counts_them(self):
+        # the benchmark's tracer takes len() of the result and sums r.ok over its records
+        panels = {Preprocess.RESCALE: make_panel(seed=1)}
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)}
+        results = run_sweep(panels, make_cases(), domains)
+        assert len(results) == math.prod(lattice_shape(domains)) == 16
+        assert all(isinstance(r.ok, (bool, np.bool_)) for r in results)
+        assert sum(1 for r in results if r.ok) == int(results.ok.sum()) == 8
+        failed = [r for r in results if not r.ok]
+        assert failed and all(math.isnan(r.score) and r.status == "missing panel: msv" for r in failed)
 
 
 class TestOptimalConfigs:
     def test_four_rows_in_declared_order(self):
-        results = [result_for(c, float(i)) for i, c in enumerate(enumerate_configs())]
-        rows = optimal_configs(results)
-        assert [(r.config.metric, r.config.case_type) for r in rows] == [
+        rows = optimal_configs(records(np.arange(320.0)))
+        assert [(levels["metric"], levels["case_type"]) for levels, _ in rows] == [
             (m, ct) for m in METRICS for ct in CASE_TYPES
         ]
 
     def test_group_minimum_wins(self):
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)})
-        scores = {c: 100.0 for c in configs}
-        winner = configs[5]
-        scores[winner] = 1.0
-        results = [result_for(c, scores[c]) for c in configs]
-        rows = optimal_configs(results)
-        assert any(r.config == winner and r.dtw_score == 1.0 for r in rows)
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)}
+        scores = np.full(math.prod(lattice_shape(domains)), 100.0)
+        scores[5] = 1.0
+        rows = optimal_configs(records(scores), domains)
+        winner = dict(zip(PARAMETER_NAMES, product(domains)[5]))
+        assert any(levels == winner and score == 1.0 for levels, score in rows)
 
     def test_tie_breaks_lexicographically(self):
-        configs = enumerate_configs()
-        results = [result_for(c, 5.0) for c in configs]
-        rows = optimal_configs(results)
-        for row in rows:
+        configs = product()
+        for levels, _ in optimal_configs(records(np.full(320, 5.0))):
             same_group = [
-                c
-                for c in configs
-                if c.metric is row.config.metric and c.case_type is row.config.case_type
+                c for c in configs if c[0] is levels["metric"] and c[4] is levels["case_type"]
             ]
-            assert row.config == min(same_group, key=lambda c: c.sort_key())
+            assert tuple(levels.values()) == same_group[0]
 
     def test_error_entries_skipped(self):
-        configs = enumerate_configs({**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)})
-        results = []
-        for i, c in enumerate(configs):
-            if c.radius == 7:
-                results.append(SweepResult(c, None, "DegenerateRangeError: constant"))
-            else:
-                results.append(result_for(c, float(i)))
-        rows = optimal_configs(results)
-        assert all(r.config.radius == 50 for r in rows)
+        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7, 50)}
+        scores = np.arange(float(math.prod(lattice_shape(domains))))
+        scores.reshape(lattice_shape(domains))[..., 0] = np.nan  # every radius-7 configuration failed
+        rows = optimal_configs(records(scores), domains)
+        assert len(rows) == 4 and all(levels["radius"] == 50 for levels, _ in rows)
+
+    def test_block_with_no_scored_configuration_is_omitted(self):
+        scores = np.arange(320.0).reshape(lattice_shape())
+        scores[1, :, :, :, 1, :] = np.nan  # every clustering/active configuration failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = optimal_configs(records(scores))
+        assert [(levels["metric"], levels["case_type"]) for levels, _ in rows] == [
+            (MetricKind.DENSITY, CaseKind.CONFIRMED),
+            (MetricKind.DENSITY, CaseKind.ACTIVE),
+            (MetricKind.CLUSTERING, CaseKind.CONFIRMED),
+        ]
+
+    def test_tie_behind_a_failed_configuration_goes_to_the_earliest_scored(self):
+        # clustering/active ties exactly between radius 30 and 50, after failed radius 7-20 rows
+        scores = np.full(lattice_shape(), 13.0)
+        block = scores[1, :, :, :, 1, :]
+        block[0, 0, 0, :3] = np.nan
+        block[0, 0, 0, 3:] = 12.2992
+        block[1, 0, 0, 3] = 12.2992  # the same tie again, later in lattice order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels, score = optimal_configs(records(scores))[3]
+        assert score == 12.2992
+        assert levels == dict(
+            zip(PARAMETER_NAMES, (MetricKind.CLUSTERING, Preprocess.RESCALE, 0.4, 15, CaseKind.ACTIVE, 30))
+        )
 
 
 class TestSummaries:
     def test_constant_scores_give_constant_means(self):
-        results = [result_for(c, 7.25) for c in enumerate_configs()]
-        report = summarize_parameter(results, "radius")
+        report = summarize_parameter(records(np.full(320, 7.25)), "radius")
         assert set(report.level_means.values()) == {7.25}
         assert report.h_statistic == 0.0
         assert report.p_value == 1.0
         assert not report.significant
 
     def test_two_level_means(self):
-        configs = enumerate_configs()
-        results = [
-            result_for(c, 1.0 if c.metric is MetricKind.DENSITY else 3.0) for c in configs
-        ]
-        report = summarize_parameter(results, "metric")
+        scores = np.empty(lattice_shape())
+        scores[0], scores[1] = 1.0, 3.0  # density, clustering
+        report = summarize_parameter(records(scores), "metric")
         assert report.level_means == {"density": 1.0, "clustering": 3.0}
         assert report.significant
 
     def test_six_reports_in_declared_order(self):
-        results = [result_for(c, float(i % 13)) for i, c in enumerate(enumerate_configs())]
-        reports = parameter_reports(results)
+        reports = parameter_reports(records(np.arange(320) % 13))
         assert [r.parameter for r in reports] == list(PARAMETER_NAMES)
         for report in reports:
             assert report.h_statistic >= 0.0
             assert 0.0 <= report.p_value <= 1.0
 
+    def test_unscored_configurations_and_levels_are_left_out(self):
+        scores = np.arange(320.0).reshape(lattice_shape())
+        scores[..., 0] = np.nan  # every radius-7 configuration failed
+        report = summarize_parameter(records(scores), "radius")
+        assert list(report.level_means) == ["15", "20", "30", "50"]
+        # a level's group is its slice along the radius axis, in lattice order
+        assert report.level_means["15"] == scores[..., 1].mean()
+
     def test_too_few_scores_name_the_parameter(self):
-        configs = enumerate_configs(
-            {**DOMAINS, **{name: DOMAINS[name][:1] for name in PARAMETER_NAMES}, "radius": (7, 50)}
-        )
-        results = [result_for(c, float(c.radius)) for c in configs]
+        domains = {**DOMAINS, **{name: DOMAINS[name][:1] for name in PARAMETER_NAMES}, "radius": (7, 50)}
         with pytest.raises(DegenerateGroupsError, match="^radius: need at least 3 values"):
-            summarize_parameter(results, "radius")
+            summarize_parameter(records([7.0, 50.0]), "radius", domains)
 
     def test_unknown_parameter_rejected(self):
-        results = [result_for(enumerate_configs()[0], 1.0)]
         with pytest.raises(ValueError):
-            summarize_parameter(results, "bandwidth")
+            summarize_parameter(records([1.0]), "bandwidth", one_level(product()[0]))
