@@ -49,7 +49,7 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
     Extra columns are ignored; the four required ones must be present.
     Blank region or province fields never match the filter. Dates are
     validated only on retained rows (off-region rows may be arbitrarily
-    dirty), and a malformed date raises ParseError with its row number.
+    dirty), and a malformed date raises ParseError with its line number.
     A UTF-8 byte-order mark is skipped.
 
     A plain file (see ``read_plain_blocks``) of at least
@@ -101,11 +101,11 @@ def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:
             if name not in header:
                 raise MissingColumnError(f"required column {name!r} absent from header")
             col[name] = header.index(name)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) < len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", reader.line_num)
             reg = row[col["RegionRes"]].strip()
             prov = row[col["ProvinceRes"]].strip()
             if not reg or not prov or reg != region or prov != province:
@@ -114,14 +114,14 @@ def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:
             try:
                 conf = parse_iso_date(raw_conf)
             except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+                raise ParseError(str(exc), reader.line_num) from exc
             raw_rem = row[col["DateRepRem"]].strip()
             rem = 0
             if raw_rem:
                 try:
                     rem = parse_iso_date(raw_rem).toordinal()
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from exc
+                    raise ParseError(str(exc), reader.line_num) from exc
             rows.append((conf.toordinal(), rem))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 

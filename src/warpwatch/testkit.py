@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 
-from .timeseries import DateIndexedSeries
+from .timeseries import DateIndexedSeries, format_value
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -81,9 +81,6 @@ def synth_pair(sc: SyntheticScenario) -> tuple[DateIndexedSeries, DateIndexedSer
         v += sc.noise_amplitude * (2.0 * rng.next_float() - 1.0)
         noisy.append(min(1.0, max(0.0, v)))
 
-    def round9(v: float) -> float:
-        return float(format(v, ".9g"))
-
-    case = DateIndexedSeries(sc.start_date, [round9(v) for v in case_values])
-    metric = DateIndexedSeries(sc.start_date, [round9(v) for v in noisy])
+    case = DateIndexedSeries(sc.start_date, [float(format_value(v)) for v in case_values])
+    metric = DateIndexedSeries(sc.start_date, [float(format_value(v)) for v in noisy])
     return case, metric

@@ -40,9 +40,10 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"') + b"\r\n"
 # list) at about the same speed; 64 KiB saved 0.6 MB more for 0.04 s a load
 _SCAN_BYTES = 1 << 17
 # The loaders send smaller files straight to their row parsers: those are
-# about as fast there, and the block reader's fixed cost (numpy's text
-# reader paged in) would raise a sweep's peak RSS: by 0.6-0.9 MB, measured
-# with the threshold at 0 on the benchmark's seed-0 sweep inputs.
+# about as fast there, and the block reader's fixed cost (the numpy code it
+# pages in, and its per-block arrays) would raise a sweep's peak RSS: by
+# 0.63-0.65 MB on sweep-wide and 0.55 MB on sweep-long, 3 runs each with
+# the threshold at 0 on the benchmark's seed-0 sweep inputs.
 COLUMNAR_MIN_BYTES = 1 << 20
 
 
@@ -227,7 +228,8 @@ def iso_date_ordinals(column: np.ndarray, parsed: set[int] | None = None) -> np.
 
 
 def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (1-based line number, stripped fields) for each data row.
+    """Yield (1-based line number, stripped fields) for each data row; a
+    row that spans lines is numbered by the line it ends on.
 
     Accepts LF or CRLF and UTF-8, with or without a byte-order mark.
     Blank lines and lines that begin with ``#`` (the provenance comment
@@ -239,22 +241,21 @@ def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, lis
     """
     expected = ",".join(header)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lineno = 0
+        reader = csv.reader(fh)
         header_seen = False
-        for row in csv.reader(fh):
-            lineno += 1
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             if not header_seen:
                 if tuple(c.strip() for c in row) != header:
-                    raise ParseError(f"expected header {expected!r}, got {','.join(row)!r}", lineno)
+                    raise ParseError(f"expected header {expected!r}, got {','.join(row)!r}", reader.line_num)
                 header_seen = True
                 continue
             if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-            yield lineno, [c.strip() for c in row]
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", reader.line_num)
+            yield reader.line_num, [c.strip() for c in row]
         if not header_seen:
-            raise ParseError(f"empty file: missing {expected!r} header", max(lineno, 1))
+            raise ParseError(f"empty file: missing {expected!r} header", max(reader.line_num, 1))
 
 
 def read_plain_blocks(
@@ -262,8 +263,8 @@ def read_plain_blocks(
     keep: tuple[str, bytes] | None = None,
 ) -> Iterator[dict[str, np.ndarray] | None]:
     """Columns ``names`` of a plain CSV, one dict per block of whole lines
-    read in one pass, each block parsed by one ``np.loadtxt`` call; a
-    last None when the file is not plain.
+    read in one pass, each block's fields cut at the offsets of its
+    commas and line ends; a last None when the file is not plain.
 
     A plain file, after an optional UTF-8 byte-order mark, is printable
     ASCII with LF or CRLF line ends, holds no ``"`` and no line that
@@ -271,10 +272,11 @@ def read_plain_blocks(
     line with as many comma-separated fields as the header. The header's
     stripped fields must equal ``names`` when ``exact`` and contain them
     otherwise (the first match counts). Columns in ``floats`` come back
-    as float64, the rest unstripped as byte strings as wide as the
-    block's longest field, so nothing is cut. With ``keep``, one of
-    ``names`` and a value, only the rows whose stripped field there
-    equals the value are parsed and yielded; the others are only checked. A
+    as float64, each field read as Python's ``float`` reads it, the rest
+    unstripped as byte strings as wide as the block's longest field, so
+    nothing is truncated; in a CRLF file the last field keeps its ``\r``. With
+    ``keep``, one of ``names`` and a value, only the rows whose stripped
+    field there equals the value are cut and yielded; the others are only checked. A
     caller that meets None drops what the earlier blocks gave it: None
     says nothing about validity, the caller's row parser decides and
     words any error.
@@ -306,33 +308,25 @@ def _plain_block(
     if seps is None:
         return None
     widths = np.diff(seps.ravel(), prepend=-1).reshape(seps.shape) - 1
-    text = lines.decode("ascii")
-    if keep is None:
-        rows = text.split("\n")
-    else:
-        # the kept rows are cut from the text, so loadtxt never sees the others
+    if keep is not None:
+        # the other rows are dropped before any column is cut
         column, value = keep
-        kept = np.flatnonzero(_stripped_field(lines, seps[:, column], widths[:, column]) == value)
-        starts = np.concatenate(([0], seps[:-1, -1] + 1))[kept].tolist()
-        rows, widths = [text[a:b] for a, b in zip(starts, seps[kept, -1].tolist())], widths[kept]
-    widest = widths.max(axis=0, initial=0)
-    dtype = [(name, "f8" if name in floats else f"S{max(1, widest[c])}") for name, c in zip(names, usecols)]
+        kept = np.char.strip(_fields(lines, seps[:, column], widths[:, column])) == value
+        seps, widths = seps[kept], widths[kept]
+    columns = {name: _fields(lines, seps[:, c], widths[:, c]) for name, c in zip(names, usecols)}
     try:
-        table = np.loadtxt(
-            rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, usecols=usecols, ndmin=1,
-        ) if len(widths) else np.empty(0, dtype=dtype)
+        return {name: column.astype(float) if name in floats else column for name, column in columns.items()}
     except ValueError:
         return None
-    return {name: table[name] for name in names} if len(table) == len(widths) else None
 
 
-def _stripped_field(lines: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _fields(lines: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The fields of ``lines`` that end at offsets ``ends``, ``widths``
-    bytes wide, as stripped byte strings."""
-    width = max(1, int(widths.max()))
+    bytes wide, as byte strings as wide as the widest."""
+    width = max(1, int(widths.max(initial=0)))
     chars = np.frombuffer(lines, dtype=np.uint8).take((ends - widths)[:, None] + np.arange(width), mode="clip")
     chars[np.arange(width) >= widths[:, None]] = 0
-    return np.char.strip(chars.view(f"S{width}").ravel())
+    return chars.view(f"S{width}").ravel()
 
 
 def _line_blocks(fh) -> Iterator[bytes]:

@@ -90,6 +90,17 @@ class TestLoadLinelist:
             load_linelist(path, "NCR", "NCR")
         assert exc.value.line == 3
 
+    def test_errors_after_a_two_line_field_name_the_physical_line(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "RegionRes,ProvinceRes,DateRepConf,DateRepRem\n"
+            '"NC\nR",NCR,2020-03-17,\n'
+            "NCR,NCR,17/03/2020,\n",
+        )
+        with pytest.raises(ParseError, match="bad date '17/03/2020'") as exc:
+            load_linelist(path, "NCR", "NCR")
+        assert exc.value.line == 4
+
     def test_off_region_rows_may_be_dirty(self, tmp_path):
         path = self.write(
             tmp_path,

@@ -242,6 +242,20 @@ def test_columnar_loaders_equal_the_row_parsers_on_large_files(large_inputs):
     assert linelist_key(("ok", load_linelist(linelist, "NCR", "NCR"))) == linelist_key(("ok", cases._linelist_from_rows(linelist, "NCR", "NCR")))
 
 
+def test_the_separator_scan_is_the_only_tokenizer(large_inputs, row_parser_calls, monkeypatch):
+    segments, linelist = large_inputs
+    expected = (segment_key(("ok", trends._segments_from_rows(segments))),
+                linelist_key(("ok", cases._linelist_from_rows(linelist, "NCR", "NCR"))))
+    row_parser_calls.clear()
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    assert (segment_key(("ok", load_segments(segments))), linelist_key(("ok", load_linelist(linelist, "NCR", "NCR")))) == expected
+    assert row_parser_calls == []
+
+
 def test_a_quoted_field_steps_aside(tmp_path):
     path = tmp_path / "segments.csv"
     rows = [f'"a, b",{BASE},{BASE + timedelta(days=i)},1.0' for i in range(30)]
@@ -282,6 +296,14 @@ class TestColumnarPieces:
         [columns] = read_plain_blocks(str(path), ("b", "a"), floats=("b",))
         assert columns["a"].tolist() == [b"xy", b"longer field"]
         assert columns["b"].tolist() == [1.5, 2.0]
+
+    def test_a_crlf_last_field_keeps_its_cr_and_floats_read_as_float_does(self, tmp_path):
+        path = tmp_path / "t.csv"
+        texts = [" 7 ", "1_0", "+5", ".5"]
+        path.write_bytes(b"v,k\r\n" + b"".join(f"{text},k{i}\r\n".encode() for i, text in enumerate(texts)))
+        [columns] = read_plain_blocks(str(path), ("k", "v"), floats=("v",))
+        assert columns["k"].tolist() == [b"k0\r", b"k1\r", b"k2\r", b"k3\r"]
+        assert columns["v"].tolist() == [float(text) for text in texts]
 
     @pytest.mark.parametrize(
         "text",

@@ -118,6 +118,12 @@ class TestLoadSegments:
             load_segments(self.write(tmp_path, lines))
         assert exc.value.line == 5
 
+    def test_errors_after_a_two_line_field_name_the_physical_line(self, tmp_path):
+        lines = ['"co\nugh",2020-03-01,2020-03-01,5', "cough,2020-03-01,2020-03-02,abc"]
+        with pytest.raises(ParseError, match="bad value 'abc'") as exc:
+            load_segments(self.write(tmp_path, lines))
+        assert exc.value.line == 4
+
 
 class TestLoadWeekly:
     def test_grouped_by_keyword(self, tmp_path):
