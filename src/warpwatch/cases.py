@@ -55,7 +55,7 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
     A plain file (see ``read_plain_blocks``) of at least
     ``COLUMNAR_MIN_BYTES`` whose retained rows are all valid is read
     column-wise: the filter runs on whole columns, then only the retained
-    rows' distinct dates are parsed. Any other file, and every error,
+    rows' dates are decoded. Any other file, and every error,
     goes through the row parser, which alone words the messages.
     """
     rows = None
@@ -67,7 +67,7 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
 def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray | None:
     """``load_linelist`` of a plain file whose retained rows are valid, one
     block of lines at a time; None otherwise."""
-    kept, parsed = [], set()
+    kept = []
     for columns in read_plain_blocks(path, REQUIRED_COLUMNS, keep=("RegionRes", region.encode())):
         if columns is None:
             return None
@@ -76,7 +76,7 @@ def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray 
         removals = np.char.strip(columns["DateRepRem"][keep])
         has_removal = removals != b""
         # one decode for the block's confirmation dates, then its removal dates
-        ordinals = iso_date_ordinals(np.concatenate((columns["DateRepConf"][keep], removals[has_removal])), parsed)
+        ordinals = iso_date_ordinals(np.concatenate((columns["DateRepConf"][keep], removals[has_removal])))
         if ordinals is None:
             return None
         rows = np.zeros((len(removals), 2), dtype=np.int64)

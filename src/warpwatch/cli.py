@@ -360,8 +360,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.length < 2:
-        raise UsageError(f"--length must be at least 2, got {args.length}")
+    if args.length < 3:
+        raise UsageError(f"--length must be at least 3, got {args.length}")
     if not 0 <= args.lag < args.length:
         raise UsageError(f"--lag must satisfy 0 <= lag < length, got {args.lag}")
     if not (math.isfinite(args.noise) and args.noise >= 0):

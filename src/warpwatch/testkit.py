@@ -43,8 +43,8 @@ class SyntheticScenario:
     start_date: date = date(2020, 1, 1)
 
     def __post_init__(self) -> None:
-        if self.length < 2:
-            raise ValueError(f"length must be at least 2, got {self.length}")
+        if self.length < 3:  # at 2 the bump's two values are equal, so it cannot be scaled
+            raise ValueError(f"length must be at least 3, got {self.length}")
         if not 0 <= self.lag < self.length:
             raise ValueError(f"lag must satisfy 0 <= lag < length, got {self.lag}")
         if not 0 <= self.noise_amplitude < math.inf:

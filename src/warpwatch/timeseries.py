@@ -32,7 +32,6 @@ CSV_HEADER = ("date", "value")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _DATE_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9)  # where YYYY-MM-DD keeps its digits
-_DATE_WEIGHTS = np.array([10_000_000, 1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int32)  # their place values in YYYYMMDD
 # bytes a plain CSV may hold: printable ASCII but the quote character, and line ends
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'"') + b"\r\n"
 # bytes per read of the block reader: on a 315k-row segment file, 256 KiB
@@ -190,41 +189,29 @@ def parse_iso_date(text: str) -> date:
         raise ValueError(message) from exc
 
 
-def iso_date_ordinals(column: np.ndarray, parsed: set[int] | None = None) -> np.ndarray | None:
-    """Int32 day ordinals of a byte-string column of dates, or None unless
+def iso_date_ordinals(column: np.ndarray) -> np.ndarray | None:
+    """Int64 day ordinals of a byte-string column of dates, or None unless
     every entry, stripped of ASCII whitespace, is a date ``parse_iso_date`` accepts.
 
-    The digits and ordinals are computed with array operations;
-    ``parse_iso_date`` runs once per distinct date, so both accept the
-    same strings. ``parsed`` holds the dates, as YYYYMMDD integers,
-    already accepted: a caller that reads a file in blocks passes one
-    set to every call, so each date is parsed once per file.
+    The YYYY-MM-DD shape is checked with array operations, then numpy's
+    ISO parser judges the calendar: on digit strings of that shape both
+    accept the same dates, except year 0000, which numpy takes and
+    ``date`` does not.
     """
     if column.dtype.itemsize != 10:
         column = np.char.strip(column)
         if (np.char.str_len(column) != 10).any():
             return None
-    chars = np.ascontiguousarray(column, dtype="S10").view(np.uint8).reshape(-1, 10) - np.uint8(48)
-    digits = chars[:, _DATE_DIGITS]
-    if (chars[:, [4, 7]] != 253).any() or (digits > 9).any():  # "-" is 45, 253 after the shift
+    column = np.ascontiguousarray(column, dtype="S10")
+    chars = column.view(np.uint8).reshape(-1, 10) - np.uint8(48)
+    if (chars[:, [4, 7]] != 253).any() or (chars[:, _DATE_DIGITS] > 9).any():  # "-" is 45, 253 after the shift
         return None
-    yyyymmdd = (digits * _DATE_WEIGHTS).sum(axis=1, dtype=np.int32)
-    keys = np.sort(yyyymmdd)
-    parsed = set() if parsed is None else parsed
     try:
-        for k in np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]])).tolist():
-            if k not in parsed:
-                parse_iso_date(f"{k // 10000:04d}-{k // 100 % 100:02d}-{k % 100:02d}")
-                parsed.add(k)
+        ordinals = column.astype("datetime64[D]").view(np.int64)
     except ValueError:
         return None
-    # ``date.toordinal``, counted in years that start on 1 March so leap days fall last
-    year, monthday = np.divmod(yyyymmdd, 10000)
-    month, day = np.divmod(monthday, 100)
-    early = month < 3
-    year -= early
-    month += 12 * early - 3
-    return 365 * year + year // 4 - year // 100 + year // 400 + (153 * month + 2) // 5 + day - 306
+    ordinals += date(1970, 1, 1).toordinal()  # in place: a chained copy raised the loaders' peak RSS
+    return None if (ordinals < 1).any() else ordinals
 
 
 def read_csv_rows(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

@@ -124,7 +124,7 @@ def _segments_from_columns(path: str) -> np.ndarray | None:
     grid = np.empty((os.path.getsize(path) // (25 * SEGMENT_DAYS), SEGMENT_DAYS))
     names: dict[str, int] = {}  # keyword codes
     ids: dict[int, int] = {}  # segment's row in ``grid`` by its code << _START_BITS | start
-    rows, parsed = 0, set()
+    rows = 0
     for columns in read_plain_blocks(path, SEGMENT_HEADER, floats=("value",), exact=True):
         if columns is None:
             return None
@@ -134,7 +134,7 @@ def _segments_from_columns(path: str) -> np.ndarray | None:
         changed = np.concatenate(([True], raw[1:] != raw[:-1]))
         heads = np.flatnonzero(changed | np.concatenate(([True], start_fields[1:] != start_fields[:-1])))
         lengths = np.diff(heads, append=len(raw))
-        days = iso_date_ordinals(np.concatenate((start_fields[heads], columns["date"])), parsed)
+        days = iso_date_ordinals(np.concatenate((start_fields[heads], columns["date"])))
         if days is None or not ((values >= 0.0) & (values <= 100.0)).all():
             return None
         starts = days[: len(heads)]

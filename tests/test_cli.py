@@ -702,7 +702,8 @@ class TestExitCodes:
             (SWEEP + ["--start", "2020-13-01"], bad_date("--start", "2020-13-01")),
             (SWEEP + ["--end", "March 20"], bad_date("--end", "March 20")),
             (["synth", "--start", "2020-13-01"], bad_date("--start", "2020-13-01")),
-            (["synth", "--length", "1"], "--length must be at least 2, got 1"),
+            (["synth", "--length", "1"], "--length must be at least 3, got 1"),
+            (["synth", "--length", "2"], "--length must be at least 3, got 2"),
             (["synth", "--noise", "nan"], "--noise must be finite and nonnegative, got nan"),
             (["dtw", "--case", "{case}", "--metric", "{case}", "--radius", "-1"],
              "--radius must be nonnegative, got -1"),

@@ -268,7 +268,8 @@ class TestColumnarPieces:
     @pytest.mark.parametrize(
         "text", ["2020-03-01", "2020-02-29", "2020-02-30", "2021-02-29", "20200301", "2020-W10-1",
                  "0000-01-01", "9999-12-31", "2020-13-01", "2020-00-10", "2020-1-01", "2020-03-01 ",
-                 " 2020-03-01", "2020-03-0x", "2020/03/01", ""]
+                 " 2020-03-01", "2020-03-0x", "2020/03/01", "", "2020-04-31", "1900-02-29", "2000-02-29",
+                 "0001-01-01"]
     )
     def test_date_decoder_accepts_what_the_strict_parser_accepts(self, text):
         try:
@@ -277,6 +278,18 @@ class TestColumnarPieces:
             expected = None
         ordinals = iso_date_ordinals(np.array([text.encode()]))
         assert (None if ordinals is None else int(ordinals[0])) == expected
+
+    def test_date_decoder_agrees_with_the_strict_parser_at_calendar_edges(self):
+        for year in ("0000", "0001", "1900", "2000", "2020", "2021", "9999"):
+            for month in range(14):
+                for day in range(33):
+                    text = f"{year}-{month:02d}-{day:02d}"
+                    try:
+                        expected = [parse_iso_date(text).toordinal()]
+                    except ValueError:
+                        expected = None
+                    ordinals = iso_date_ordinals(np.array([text.encode()]))
+                    assert (None if ordinals is None else ordinals.tolist()) == expected, text
 
     def test_ordinals_are_date_toordinal_across_the_calendar(self):
         days = [date(1, 1, 1) + timedelta(days=n) for n in range(0, date.max.toordinal(), 401)]
@@ -367,13 +380,25 @@ class TestBlockEdges:
         assert None not in blocks and sum(len(b["value"]) for b in blocks) == 120
         assert segment_key(("ok", fast)) == segment_key(rows)
 
-    def test_each_date_is_parsed_once_per_file(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(timeseries, "parse_iso_date", lambda text, _parse=parse_iso_date: calls.append(text) or _parse(text))
-        lines = segment_lines()
-        blocks, fast, _ = self.read(tmp_path, lines, size=200)
+    def test_dates_decode_without_the_strict_parser(self, tmp_path, monkeypatch):
+        def refuse(text):
+            raise ValueError(f"parse_iso_date({text!r}) called")
+
+        monkeypatch.setattr(timeseries, "parse_iso_date", refuse)
+        blocks, fast, rows = self.read(tmp_path, segment_lines(), size=200)
         assert len(blocks) > 4 and fast is not None
-        assert sorted(calls) == sorted({field for line in lines[1:] for field in line.split(",")[1:3]})
+        assert segment_key(("ok", fast)) == segment_key(rows)
+        path = tmp_path / "linelist.csv"
+        lines = [LINELIST_HEADER] + [
+            f"{('NCR', 'CALABARZON')[n % 3 == 0]},NCR,{BASE + timedelta(days=n)},{BASE + timedelta(days=n + 9) if n % 2 else ''},{n}"
+            for n in range(60)
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with scan_bytes(100):
+            blocks = list(read_plain_blocks(str(path), cases.REQUIRED_COLUMNS))
+            fast = cases._linelist_from_columns(str(path), "NCR", "NCR")
+        assert len(blocks) > 10 and None not in blocks and fast is not None
+        assert linelist_key(("ok", fast)) == linelist_key(outcome(cases._linelist_from_rows, str(path), "NCR", "NCR"))
 
 
 def test_loader_memory_is_bounded_and_flat_in_the_file_size(tmp_path):

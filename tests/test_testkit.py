@@ -84,6 +84,13 @@ class TestSynthPair:
         b = synth_pair(SyntheticScenario(length=60, lag=5, noise_amplitude=0.1, seed=2))
         assert a[1].values.tolist() != b[1].values.tolist()
 
+    def test_shortest_length_builds_at_every_lag(self):
+        with pytest.raises(ValueError, match="length must be at least 3, got 2"):
+            SyntheticScenario(length=2)
+        for lag in range(3):
+            case, metric = synth_pair(SyntheticScenario(length=3, lag=lag))
+            assert len(case) == len(metric) == 3
+
     def test_values_in_unit_interval(self):
         case, metric = synth_pair(SyntheticScenario(length=90, lag=12, noise_amplitude=0.3, seed=8))
         assert all(0.0 <= v <= 1.0 for v in case.values)
