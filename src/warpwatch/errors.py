@@ -103,7 +103,3 @@ class RangeMismatchError(WarpwatchError):
 
 class DegenerateGroupsError(WarpwatchError):
     """Kruskal-Wallis needs at least two non-empty groups and three values."""
-
-
-class TooLargeError(WarpwatchError):
-    """An exhaustive oracle was asked to enumerate beyond its size bound."""

@@ -26,8 +26,10 @@ from .errors import (
 )
 from .timeseries import DateIndexedSeries, read_only_array
 
-# centred float64 elements per chunk of days in correlation_matrix_sequence: 256 KiB, about 1 MB working memory
-_CHUNK_ELEMENTS = 2**15
+# centred float64 elements per chunk of days in correlation_matrix_sequence: 512 KiB, its one large buffer
+_CHUNK_ELEMENTS = 2**16
+# a window whose distance standard deviation is at most this share of its largest absolute value is flat
+_FLAT_TOLERANCE = 1e-12
 
 
 class MetricKind(str, Enum):
@@ -84,42 +86,47 @@ class KeywordPanel:
         return len(self.keywords)
 
 
-def _centered(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Double-centred distance matrices of a ``(..., w)`` stack of windows, each
-    flattened to ``w * w``, and their distance variances, which must be finite."""
+def _centered(windows: np.ndarray) -> np.ndarray:
+    """The ``(..., N, N)`` Gram block of a ``(..., N, w)`` stack of windows: each pair's dCov^2 of
+    double-centred distance matrices, with the distance variances, which must be finite, on the
+    diagonal; a flat window's variance (see ``_FLAT_TOLERANCE``), which only rounding moves, reads 0."""
+    n, w = windows.shape[-2:]
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.abs(windows[..., :, None] - windows[..., None, :])
-        col_mean, row_mean = d.mean(axis=-2)[..., None, :], d.mean(axis=-1)[..., :, None]
-        grand_mean = d.mean(axis=(-2, -1))[..., None, None]
-        # in place, so a chunk needs no second buffer; this order fixes the rounding
-        d -= col_mean
-        d -= row_mean
-        d += grand_mean
-        a = d.reshape(*windows.shape[:-1], -1)
-        dvar = (a * a).mean(axis=-1)
+        d = windows[..., :, None] - windows[..., None, :]
+        np.abs(d, out=d)
+        # d is symmetric, so its row means are its column means; in place, so a chunk needs no second buffer
+        mean = d.mean(axis=-1)
+        d -= mean[..., None, :]
+        d -= mean[..., :, None]
+        d += mean.mean(axis=-1)[..., None, None]
+        a = d.reshape(*windows.shape[:-1], w * w)
+        gram = np.matmul(a, a.swapaxes(-1, -2)) / (w * w)
+    dvar = gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1]  # a view of the diagonal
     if not np.isfinite(dvar).all():
         raise NonFiniteValueError("a window holds a NaN or infinite value, or differences beyond float64")
-    return a, dvar
+    dvar[np.sqrt(dvar) <= _FLAT_TOLERANCE * np.abs(windows).max(axis=-1)] = 0.0
+    return gram
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _dcor_ratio(dcov2: np.ndarray, dvarx2: np.ndarray, dvary2: np.ndarray) -> np.ndarray:
-    """The dCor ratio clamped to [0, 1], elementwise; 0 where either distance variance is 0."""
-    r = np.sqrt(np.maximum(dcov2, 0.0)) / np.sqrt(np.sqrt(dvarx2) * np.sqrt(dvary2))
-    return np.where((dvarx2 > 0.0) & (dvary2 > 0.0), np.clip(r, 0.0, 1.0), 0.0)
+def _dcor_ratio(gram: np.ndarray) -> np.ndarray:
+    """Distance correlations of a Gram block, clamped to [0, 1]; 0 where either distance variance is 0."""
+    sd = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    x, y = sd[..., :, None], sd[..., None, :]
+    r = np.sqrt(np.maximum(gram, 0.0)) / np.sqrt(x * y)
+    return np.where((x > 0.0) & (y > 0.0), np.clip(r, 0.0, 1.0), 0.0)
 
 
 def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Distance correlation of two equal-length windows, in [0, 1].
 
-    Pairwise absolute-difference matrices are double-centered (row mean
-    and column mean subtracted, grand mean added back); the squared
-    distance covariance is the mean of their elementwise product and the
-    distance variances follow the same recipe against themselves. A
-    window with zero distance variance on either side yields 0 by
-    convention: constant interest carries no association signal. The
-    final ratio is clamped to [0, 1] to absorb rounding dust. The centring
-    and ratio helpers are those of ``correlation_matrix_sequence``, so
+    Pairwise absolute-difference matrices are double-centered (row and
+    column means subtracted, grand mean added back); dCov^2 is the mean of
+    their elementwise product, and each distance variance that of a matrix
+    with itself. A flat window on either side (constant, or varying only by
+    rounding) yields 0: constant interest carries no association signal.
+    The ratio is clamped to [0, 1] against rounding dust. This is the
+    two-window case of ``correlation_matrix_sequence``'s kernel, so
     non-finite input or differences raise NonFiniteValueError.
     """
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -129,8 +136,7 @@ def distance_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatchError(f"window lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise WindowTooShortError(f"need at least 2 observations, got {len(xs)}")
-    a, dvar = _centered(np.stack([xs, ys]))
-    return float(_dcor_ratio((a[0] * a[1]).mean(), dvar[0], dvar[1]))
+    return float(_dcor_ratio(_centered(np.stack([xs, ys])))[0, 1])
 
 
 def threshold_graph(matrices: np.ndarray, theta: float) -> np.ndarray:
@@ -160,14 +166,15 @@ def clustering_coefficient(adjacency: np.ndarray) -> np.ndarray:
 
     trace(A^3) counts each triangle six times (three start vertices, two
     directions), so closed triplets are trace(A^3) / 2; open-plus-closed
-    triplets are the sum over vertices of C(deg, 2). Both counts are exact
-    integers, so the ratio is correctly rounded. A graph without triplets
-    has no triangle either, which makes that case 0 / 1.
+    triplets are the sum over vertices of C(deg, 2). Both counts are float64
+    integers below n^3 (A^3 through BLAS), exact far below 2^53, so the ratio
+    is correctly rounded. A graph without triplets has no triangle either,
+    which makes that case 0 / 1.
     """
-    a = adjacency.astype(np.int64)
-    closed = np.trace(a @ a @ a, axis1=-2, axis2=-1) // 2
+    a = adjacency.astype(np.float64)
+    closed = np.trace(a @ a @ a, axis1=-2, axis2=-1) / 2
     degree = a.sum(axis=-1)
-    triplets = (degree * (degree - 1) // 2).sum(axis=-1)
+    triplets = (degree * (degree - 1) / 2).sum(axis=-1)
     return closed / np.maximum(triplets, 1)
 
 
@@ -177,9 +184,9 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
     day t included, and is symmetric with ones on the diagonal.
 
     Days go in chunks of ``_CHUNK_ELEMENTS`` centred float64 elements, each
-    keyword-day window centred once; keyword i's entries are one mean over
-    the last axis against keywords i+1.., so each equals ``distance_correlation``
-    bit for bit. A non-finite distance variance raises NonFiniteValueError.
+    keyword-day window centred once and every keyword pair's dCov^2 taken in
+    one batched Gram product, so entries agree with ``distance_correlation``
+    to rounding. A non-finite distance variance raises NonFiniteValueError.
     """
     if window < 2:
         raise WindowTooShortError(f"a {window}-day window is too short; need at least 2 days")
@@ -189,14 +196,11 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
         )
     n = panel.n_keywords
     windows = np.lib.stride_tricks.sliding_window_view(panel.values, window, axis=1).swapaxes(0, 1)
-    matrices = np.ones((len(windows), n, n))
+    matrices = np.empty((len(windows), n, n))
     step = max(1, _CHUNK_ELEMENTS // (n * window * window))
     for start in range(0, len(windows), step):
-        a, dvar = _centered(windows[start : start + step])
-        chunk = matrices[start : start + step]
-        for i in range(n - 1):
-            dcov2 = (a[:, i : i + 1] * a[:, i + 1 :]).mean(axis=-1)
-            chunk[:, i, i + 1 :] = chunk[:, i + 1 :, i] = _dcor_ratio(dcov2, dvar[:, i : i + 1], dvar[:, i + 1 :])
+        matrices[start : start + step] = _dcor_ratio(_centered(windows[start : start + step]))
+    matrices.reshape(len(windows), n * n)[:, :: n + 1] = 1.0
     matrices.flags.writeable = False
     return matrices
 

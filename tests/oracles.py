@@ -1,7 +1,9 @@
-"""Independent oracles the tests check the DTW and graph-metric code against.
+"""Independent oracles the tests check the DTW, distance-correlation and
+graph-metric code against.
 
-They deliberately take the slow road (full path enumeration, vertex-triple
-counting) so they share no code path with the implementations they check.
+They deliberately take the slow road (full path enumeration, explicit
+double loops with exactly rounded sums, vertex-triple counting) so they
+share no code path with the implementations they check.
 """
 
 from __future__ import annotations
@@ -9,10 +11,14 @@ from __future__ import annotations
 import math
 
 from warpwatch.dtw import BandSpec
-from warpwatch.errors import BandInfeasibleError, EmptySeriesError, TooFewNodesError, TooLargeError
+from warpwatch.errors import BandInfeasibleError, EmptySeriesError, TooFewNodesError
 
 _ORACLE_MAX_LEN = 8
 _ORACLE_MAX_NODES = 8
+
+
+class TooLargeError(Exception):
+    """An exhaustive oracle was asked to enumerate beyond its size bound."""
 
 
 def admits(band: BandSpec, i: int, j: int) -> bool:
@@ -86,3 +92,33 @@ def graph_metric_oracle(n: int, edges) -> tuple[float, float]:
                     triplets += 1
     transitivity = 3.0 * triangles / triplets if triplets else 0.0
     return density, transitivity
+
+
+def _double_centred(xs: list[float]) -> list[list[float]]:
+    """|x_i - x_j| less row mean i and column mean j, plus the grand mean, each mean an exactly rounded sum."""
+    n = len(xs)
+    d = [[abs(xs[i] - xs[j]) for j in range(n)] for i in range(n)]
+    row = [math.fsum(d[i]) / n for i in range(n)]
+    col = [math.fsum(d[i][j] for i in range(n)) / n for j in range(n)]
+    grand = math.fsum(d[i][j] for i in range(n) for j in range(n)) / (n * n)
+    return [[d[i][j] - row[i] - col[j] + grand for j in range(n)] for i in range(n)]
+
+
+def distance_correlation_oracle(x, y) -> float:
+    """Sample distance correlation of two equal-length windows by its definition
+    (Szekely, Rizzo & Bakirov 2007): dCov^2 is the mean of the elementwise product
+    of the double-centred distance matrices. 0 when either window is constant."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ValueError("oracle needs two windows of one length, at least 2")
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
+        return 0.0
+    a, b = _double_centred(xs), _double_centred(ys)
+    n = len(xs)
+
+    def mean_product(p, q):
+        return math.fsum(p[i][j] * q[i][j] for i in range(n) for j in range(n)) / (n * n)
+
+    dcov2, dvarx2, dvary2 = mean_product(a, b), mean_product(a, a), mean_product(b, b)
+    return min(1.0, math.sqrt(max(dcov2, 0.0) / math.sqrt(dvarx2 * dvary2)))

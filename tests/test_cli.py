@@ -786,6 +786,31 @@ class TestEntryPoint:
         report = json.loads((out / "parameter_report.json").read_text(encoding="utf-8"))
         assert all(0.0 <= entry["p_value"] <= 1.0 for entry in report["parameters"].values())
 
+    def test_sweep_body_does_not_depend_on_the_blas_thread_count(self, tmp_path, sweep_inputs):
+        # the correlation stack is a BLAS Gram product; one and two OpenBLAS threads must write one body
+        src = str(Path(warpwatch.__file__).resolve().parents[1])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": [0.4, 0.8], "radius": [7, 15, 50]}))
+        bodies = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            out = tmp_path / f"threads-{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "warpwatch.cli", "sweep", "--segments", sweep_inputs.segments,
+                 "--weekly", sweep_inputs.weekly, "--linelist", sweep_inputs.linelist,
+                 "--region", "NCR", "--province", "NCR", "--config", str(config), "--outdir", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            bodies.append(body_digest([out / "sweep.csv"]))
+        assert bodies[0] == bodies[1]
+
     def test_openssl_is_loaded_only_for_the_manifest_digest(self, tmp_path):
         # hashlib maps OpenSSL (about 3.6 MB resident): importing the CLI must not load it, and
         # the columnar loaders must return before it is, so it never adds to their peak

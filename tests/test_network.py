@@ -26,9 +26,10 @@ from warpwatch.network import (
     network_density,
     threshold_graph,
 )
+from warpwatch.sweep import THRESHOLDS
 from warpwatch.timeseries import DateIndexedSeries
 
-from oracles import graph_metric_oracle
+from oracles import distance_correlation_oracle, graph_metric_oracle
 
 START = date(2020, 3, 16)
 
@@ -58,6 +59,18 @@ def tied_panel_and_window(draw):
 
 
 @st.composite
+def seeded_panel_and_window(draw):
+    """2-4 keywords over 12-24 days of uniform draws from [0, 100) with a zero
+    run in the first keyword, plus a window from 2 to 12 days."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    days = draw(st.integers(min_value=12, max_value=24))
+    rows = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).uniform(0.0, 100.0, (n, days))
+    zero_from = draw(st.integers(min_value=0, max_value=days - 1))
+    rows[0, zero_from : draw(st.integers(min_value=zero_from, max_value=days))] = 0.0
+    return panel_of(rows), draw(st.integers(min_value=2, max_value=12))
+
+
+@st.composite
 def chunked_panel_window_and_step(draw):
     """A tied panel with at least 3 days of matrices, and a chunk of 1 to
     days - 1 days that leaves a remainder chunk."""
@@ -67,14 +80,14 @@ def chunked_panel_window_and_step(draw):
     return p, window, step
 
 
-def per_pair_oracle(p, window):
+def per_pair_oracle(p, window, dcor=distance_correlation):
     days = len(p) - window + 1
     expected = np.tile(np.eye(p.n_keywords), (days, 1, 1))
     for day in range(days):
         w = p.values[:, day : day + window]
         for i in range(p.n_keywords):
             for j in range(i + 1, p.n_keywords):
-                expected[day, i, j] = expected[day, j, i] = distance_correlation(w[i], w[j])
+                expected[day, i, j] = expected[day, j, i] = dcor(w[i], w[j])
     return expected
 
 
@@ -137,6 +150,37 @@ class TestDistanceCorrelation:
     def test_overflowing_differences_rejected(self):
         with pytest.raises(NonFiniteValueError, match="differences beyond float64"):
             distance_correlation((1e308, -1e308, 0.0), (1.0, 2.0, 3.0))
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.sampled_from([-1.0, 1.0]),
+        st.lists(st.integers(min_value=-64, max_value=64), min_size=2, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ulp_noise_on_a_constant_window_is_flat(self, base, sign, ulps):
+        noisy = [sign * base + k * math.ulp(base) for k in ulps]
+        ramp = range(len(noisy))
+        assert distance_correlation(ramp, noisy) == distance_correlation(noisy, ramp) == 0.0
+        assert correlation_matrix_sequence(panel_of([ramp, noisy]), len(noisy))[0, 0, 1] == 0.0
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=1e-8, max_value=1.0),
+        st.lists(st.integers(min_value=-1000, max_value=1000), min_size=2, max_size=60).filter(
+            lambda steps: len(set(steps)) > 1
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_variation_from_a_relative_1e_8_up_is_not_flat(self, base, scale, steps):
+        # distinct steps differ by at least base * scale, so the window varies at relative scale >= 1e-8
+        varied = [base * (1.0 + scale * k) for k in steps]
+        assert len(set(varied)) > 1
+        ramp = [math.sin(t) for t in range(len(varied))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_FLAT_TOLERANCE", 0.0)
+            untolerated = distance_correlation(ramp, varied)
+        assert distance_correlation(ramp, varied) == untolerated
+        assert network._centered(np.array([varied]))[0, 0] > 0.0
 
     @given(vectors, vectors)
     @settings(max_examples=150, deadline=None)
@@ -217,6 +261,20 @@ class TestCorrelationMatrixAt:
             mp.setattr(network, "_CHUNK_ELEMENTS", step * p.n_keywords * window * window)
             matrices = correlation_matrix_sequence(p, window)
         assert np.array_equal(matrices, per_pair_oracle(p, window))
+
+    @given(seeded_panel_and_window())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_agrees_with_the_definition_oracle(self, panel_and_window):
+        # stack and oracle sum in different orders: each entry within a relative 1e-12 of
+        # the oracle's, and the oracle keeps 1e-9 clear of every sweep threshold, so each
+        # threshold graph is the same
+        p, window = panel_and_window
+        expected = per_pair_oracle(p, window, distance_correlation_oracle)
+        assert min(abs(expected - theta).min() for theta in THRESHOLDS) > 1e-9
+        matrices = correlation_matrix_sequence(p, window)
+        np.testing.assert_allclose(matrices, expected, rtol=1e-12, atol=0.0)
+        for theta in THRESHOLDS:
+            assert np.array_equal(threshold_graph(matrices, theta), threshold_graph(expected, theta))
 
     def test_overflowing_panel_rejected(self):
         p = panel_of([[1e308 * (-1) ** t for t in range(30)], range(30)])

@@ -1,11 +1,11 @@
 import pytest
 
 from warpwatch.dtw import BandSpec, dtw
-from warpwatch.errors import BandInfeasibleError, TooLargeError
+from warpwatch.errors import BandInfeasibleError
 from warpwatch.testkit import Lcg, SyntheticScenario, synth_pair
 from warpwatch.timeseries import minmax_normalize
 
-from oracles import admits, brute_force_dtw, graph_metric_oracle
+from oracles import TooLargeError, admits, brute_force_dtw, graph_metric_oracle
 
 
 class TestBruteForceDtw:
