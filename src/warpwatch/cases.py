@@ -67,7 +67,8 @@ def load_linelist(path: str, region: str, province: str) -> np.ndarray:
 def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray | None:
     """``load_linelist`` of a plain file whose retained rows are valid, one
     block of lines at a time; None otherwise."""
-    kept = []
+    kept = np.empty((0, 2), dtype=np.int64)
+    n = 0
     for columns in read_plain_blocks(path, REQUIRED_COLUMNS, keep=("RegionRes", region.encode())):
         if columns is None:
             return None
@@ -79,11 +80,16 @@ def _linelist_from_columns(path: str, region: str, province: str) -> np.ndarray 
         ordinals = iso_date_ordinals(np.concatenate((columns["DateRepConf"][keep], removals[has_removal])))
         if ordinals is None:
             return None
-        rows = np.zeros((len(removals), 2), dtype=np.int64)
-        rows[:, 0] = ordinals[: len(rows)]
-        rows[has_removal, 1] = ordinals[len(rows) :]
-        kept.append(rows)
-    return np.concatenate(kept)
+        k = len(removals)
+        if n + k > len(kept):
+            # in place and zero-filled, so no block's rows are held apart from the result and a row without
+            # a removal keeps its 0; no view of ``kept`` outlives a statement, hence no reference check
+            kept.resize((max(2 * len(kept), n + k), 2), refcheck=False)
+        kept[n : n + k, 0] = ordinals[:k]
+        kept[n + np.flatnonzero(has_removal), 1] = ordinals[k:]
+        n += k
+    kept.resize((n, 2), refcheck=False)
+    return kept
 
 
 def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import os
@@ -9,10 +10,11 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import warpwatch
-from warpwatch import cases, trends
+from warpwatch import cases, cli, trends
 from warpwatch.cli import _build_parser, main
 from warpwatch.errors import DegenerateRangeError
 from warpwatch.testkit import Lcg
@@ -681,6 +683,114 @@ class TestManifest:
             assert manifest["inputs"] == {
                 str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in input_paths
             }
+
+
+# the interpreter's built-in SHA-256 module, or None where it was built without built-in hashes
+BUILTIN_SHA256 = next((name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)), None)
+needs_builtin_sha256 = pytest.mark.skipif(BUILTIN_SHA256 is None, reason="no built-in SHA-256 module")
+
+
+def run_child(script, *argv):
+    """``python -c script argv...`` on this process's warpwatch; its last stdout line."""
+    src = str(Path(warpwatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def manifest_inputs(paths):
+    return cli._manifest(argparse.Namespace(subcommand="test"), [str(p) for p in paths])["inputs"]
+
+
+class TestManifestDigest:
+    """One SHA-256 implementation hashes a run's inputs, chosen from their total size: the
+    interpreter's built-in below COLUMNAR_MIN_BYTES, hashlib's (OpenSSL) at or above it."""
+
+    @staticmethod
+    def expected_module(total):
+        return BUILTIN_SHA256 if total < COLUMNAR_MIN_BYTES and BUILTIN_SHA256 else "_hashlib"
+
+    # either side of the 64 KiB read chunk and of the threshold
+    @pytest.mark.parametrize(
+        "size", [0, 1, 65535, 65536, 65537, COLUMNAR_MIN_BYTES - 1, COLUMNAR_MIN_BYTES, COLUMNAR_MIN_BYTES + 1]
+    )
+    def test_digest_equals_hashlib_at_every_size(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        assert manifest_inputs([path]) == {str(path): hashlib.sha256(data).hexdigest()}
+        assert cli._sha256(size).__module__ == self.expected_module(size)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (0, 1000, 65536, COLUMNAR_MIN_BYTES + 1),  # small inputs beside a large one
+            (65537, COLUMNAR_MIN_BYTES // 2, COLUMNAR_MIN_BYTES // 2 - 65538),  # one byte short in total
+            (65537, COLUMNAR_MIN_BYTES // 2, COLUMNAR_MIN_BYTES // 2 - 65537),  # the threshold in total
+        ],
+    )
+    def test_one_implementation_per_run_from_the_total_size(self, tmp_path, monkeypatch, sizes):
+        chosen = []
+        choose = cli._sha256
+
+        def spy(total):
+            chosen.append(choose(total))
+            return chosen[-1]
+
+        monkeypatch.setattr(cli, "_sha256", spy)
+        paths, expected = [], {}
+        for k, size in enumerate(sizes):
+            data = np.random.default_rng(k).bytes(size)
+            paths.append(tmp_path / f"input{k}.bin")
+            paths[-1].write_bytes(data)
+            expected[str(paths[-1])] = hashlib.sha256(data).hexdigest()
+        assert manifest_inputs(paths) == expected
+        assert [f.__module__ for f in chosen] == [self.expected_module(sum(sizes))]
+
+    @needs_builtin_sha256
+    def test_small_runs_never_load_openssl(self, tmp_path, sweep_inputs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": [0.5], "window": [15], "radius": [7, 15]}))
+        assert run("synth", "--outdir", tmp_path / "synth") == 0
+        assert run("preprocess", "--segments", sweep_inputs.segments, "--method", "msv",
+                   "--outdir", tmp_path / "panel") == 0
+        runs = [
+            ["sweep", "--segments", sweep_inputs.segments, "--weekly", sweep_inputs.weekly,
+             "--linelist", sweep_inputs.linelist, "--region", "NCR", "--province", "NCR", "--config", config],
+            ["dtw", "--case", tmp_path / "synth" / "case.csv", "--metric", tmp_path / "synth" / "metric.csv"],
+            ["metrics", "--panel-dir", tmp_path / "panel", "--metric", "density", "--threshold", 0.5, "--window", 15],
+        ]
+        inputs = [sweep_inputs.segments, sweep_inputs.weekly, sweep_inputs.linelist]
+        assert sum(os.path.getsize(p) for p in inputs) < COLUMNAR_MIN_BYTES
+        script = (
+            "import sys; import warpwatch.cli as cli\n"
+            "code = cli.main(sys.argv[1:]); print('_hashlib' in sys.modules); sys.exit(code)\n"
+        )
+        for argv in runs:
+            assert run_child(script, *argv, "--outdir", tmp_path / f"{argv[0]}-out") == "False"
+
+    def test_importing_the_cli_adds_no_hash_module(self):
+        # numpy's own imports may load one (random's sha512 lives in _sha2 on CPython 3.12+)
+        script = (
+            "import sys; import numpy\n"
+            "names = ('_hashlib', '_sha2', '_sha256'); before = [n for n in names if n in sys.modules]\n"
+            "import warpwatch.cli\n"
+            "print(before == [n for n in names if n in sys.modules], '_hashlib' in sys.modules)\n"
+        )
+        assert run_child(script) == "True False"
+
+    def test_without_builtin_hashes_falls_back_to_hashlib(self, tmp_path):
+        assert run("synth", "--outdir", tmp_path / "synth") == 0
+        case, metric = tmp_path / "synth" / "case.csv", tmp_path / "synth" / "metric.csv"
+        script = (
+            "import sys; import warpwatch.cli as cli\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "code = cli.main(sys.argv[1:]); print('_hashlib' in sys.modules); sys.exit(code)\n"
+        )
+        assert run_child(script, "dtw", "--case", case, "--metric", metric, "--outdir", tmp_path / "dtw") == "True"
+        manifest = json.loads((tmp_path / "dtw" / "dtw.json").read_text())["manifest"]
+        assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (case, metric)}
 
 
 def bad_date(flag, raw):

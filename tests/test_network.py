@@ -242,7 +242,9 @@ class TestCorrelationMatrixAt:
 
     @given(tied_panel_and_window())
     @settings(max_examples=60, deadline=None)
-    def test_stack_equals_per_pair_oracle_bit_for_bit(self, panel_and_window):
+    def test_stack_matches_per_pair_oracle(self, panel_and_window):
+        # the stack's Gram products and the two-row calls go through BLAS in blocks of other
+        # shapes, whose summation order BLAS does not fix: each entry within a relative 1e-12
         p, window = panel_and_window
         days = len(p) - window + 1
         expected = np.tile(np.eye(p.n_keywords), (days, 1, 1))
@@ -251,16 +253,16 @@ class TestCorrelationMatrixAt:
             for i in range(p.n_keywords):
                 for j in range(i + 1, p.n_keywords):
                     expected[day, i, j] = expected[day, j, i] = distance_correlation(w[i], w[j])
-        assert np.array_equal(correlation_matrix_sequence(p, window), expected)
+        np.testing.assert_allclose(correlation_matrix_sequence(p, window), expected, rtol=1e-12, atol=0.0)
 
     @given(chunked_panel_window_and_step())
     @settings(max_examples=60, deadline=None)
-    def test_chunked_stack_equals_per_pair_oracle_bit_for_bit(self, panel_window_and_step):
+    def test_chunked_stack_matches_per_pair_oracle(self, panel_window_and_step):
         p, window, step = panel_window_and_step
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(network, "_CHUNK_ELEMENTS", step * p.n_keywords * window * window)
             matrices = correlation_matrix_sequence(p, window)
-        assert np.array_equal(matrices, per_pair_oracle(p, window))
+        np.testing.assert_allclose(matrices, per_pair_oracle(p, window), rtol=1e-12, atol=0.0)
 
     @given(seeded_panel_and_window())
     @settings(max_examples=60, deadline=None)
@@ -422,7 +424,7 @@ class TestMetricSeries:
         expected = np.eye(3)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             expected[i, j] = expected[j, i] = distance_correlation(last[i], last[j])
-        np.testing.assert_array_equal(matrices[-1], expected)
+        np.testing.assert_allclose(matrices[-1], expected, rtol=1e-12, atol=0.0)
         with pytest.raises(ValueError):
             matrices[0, 0, 1] = 0.0
 
