@@ -1,42 +1,38 @@
 """Rank statistics for the parameter sweep: Kruskal-Wallis H and its p-value.
 
-One pass over the sorted values gives both the average ranks and the tie
-sum. The chi-square survival function is the exact closed form for an
+One stable sort gives both the average ranks and the tie sum. The
+chi-square survival function is the exact closed form for an
 integer number of degrees of freedom, dependency-free: dof // 2 terms
 exp(-s) s^k / Gamma(k + 1), plus erfc for odd dof.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateGroupsError, NonFiniteValueError
+from .timeseries import sequential_sum
 
 
-def _ranks_and_ties(values: Sequence[float]) -> tuple[list[float], int]:
+def _ranks_and_ties(values: Sequence[float]) -> tuple[np.ndarray, int]:
     """Average ranks (ties share theirs) and the tie sum over runs of t equal values, sum(t^3 - t)."""
-    values = [float(v) for v in values]
-    if not values:
+    values = np.asarray(values, dtype=float)
+    if not values.size:
         raise DegenerateGroupsError("cannot rank an empty sequence")
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteValueError(f"cannot rank non-finite value {v!r}")
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    tie_sum = 0
-    start = 0
-    for _, run in itertools.groupby(order, key=values.__getitem__):
-        run = list(run)
-        t = len(run)
-        # positions start..start+t-1 (0-based) share the average of ranks start+1..start+t
-        avg = (2 * start + t + 1) / 2.0
-        for k in run:
-            ranks[k] = avg
-        tie_sum += t ** 3 - t
-        start += t
-    return ranks, tie_sum
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError(f"cannot rank non-finite value {float(values[~np.isfinite(values)][0])!r}")
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # a run of t equal values starting at 0-based position s shares the average of ranks s+1..s+t
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2.0, counts)
+    runs = counts.astype(object)  # Python ints: t^3 leaves int64 from t = 2^21
+    return ranks, (runs ** 3 - runs).sum()
 
 
 def rank_with_ties(values: Sequence[float]) -> list[float]:
@@ -45,7 +41,7 @@ def rank_with_ties(values: Sequence[float]) -> list[float]:
     Ranks always sum to n (n + 1) / 2. Raises DegenerateGroupsError on
     empty input and NonFiniteValueError on a NaN or infinite value.
     """
-    return _ranks_and_ties(values)[0]
+    return _ranks_and_ties(values)[0].tolist()
 
 
 def chi_square_sf(x: float, dof: int) -> float:
@@ -91,15 +87,10 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     if n < 3:
         raise DegenerateGroupsError(f"need at least 3 values overall, got {n}")
 
-    ranks, tie_sum = _ranks_and_ties([v for g in groups for v in g])
-
-    h = 0.0
-    pos = 0
-    for size in sizes:
-        r_sum = sum(ranks[pos : pos + size])
-        h += r_sum * r_sum / size
-        pos += size
-    h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
+    ranks, tie_sum = _ranks_and_ties(np.concatenate(groups, dtype=float))
+    # ranks are half-integers, so each group's rank sum is exact in any order
+    r_sums = np.add.reduceat(ranks, np.cumsum(sizes) - sizes)
+    h = 12.0 / (n * (n + 1)) * sequential_sum(r_sums * r_sums / sizes) - 3.0 * (n + 1)
 
     correction = 1.0 - tie_sum / (n ** 3 - n)
     if correction == 0.0:

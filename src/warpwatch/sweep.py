@@ -2,9 +2,9 @@
 
 The full lattice crosses two network metrics, two preprocessing methods,
 four thresholds, two correlation windows, two case comparisons and five
-band radii: 320 configurations. Per-configuration failures (an
-infeasible band, a constant case series) become status entries instead
-of aborting the sweep, and are excluded from the statistics.
+band radii: 320 configurations. Per-configuration failures (disjoint
+date ranges, a constant case series) become status entries instead of
+aborting the sweep, and are excluded from the statistics.
 """
 
 from __future__ import annotations
@@ -95,23 +95,23 @@ def run_sweep(
     ``len`` counts configurations and iteration yields records;
     ``results.score.reshape(lattice_shape(domains))`` is the lattice.
 
-    Three memoised stages feed the configurations, each computed on
-    first use and shared by every configuration that needs it: the
-    normalized case series per case type, the correlation-matrix stack
-    per (preprocess, window), and the metric series per (metric,
-    preprocess, threshold, window). A ``WarpwatchError`` from any stage,
-    or from alignment and DTW, becomes that configuration's status; the
-    case stage runs first, so its error wins over the metric's. A failed
-    stage is not memoised: it is retried, and fails again before any
-    heavy work, for each configuration that needs it.
+    A configuration is a (metric, preprocess, threshold, window, case
+    type) pair under one radius. Each pair is aligned once; the aligned
+    pairs are stacked by length, and one ``dtw`` call per (radius,
+    length) scores a stack.
 
-    Configurations are scored one (window, radius) group at a time: the
-    group's aligned series are stacked by length, and one ``dtw`` call
-    scores each stack; its error becomes every member's status. Case
-    series are normalized and metric values lie in [0, 1], so no
-    distance overflows.
+    Three memoised stages feed the pairs, each computed on first use and
+    shared by every pair that needs it: the normalized case series per
+    case type, the correlation-matrix stack per (preprocess, window), and
+    the metric series per (metric, preprocess, threshold, window). A
+    ``WarpwatchError`` from any stage, or from alignment, becomes the
+    status of every radius of that pair; the case stage runs first, so
+    its error wins over the metric's. A failed stage is not memoised: it
+    is retried, and fails again before any heavy work, for each pair that
+    needs it.
     """
-    cfgs = list(itertools.product(*(domains[name] for name in PARAMETER_NAMES)))
+    pairs = list(itertools.product(*(domains[name] for name in PARAMETER_NAMES if name != "radius")))
+    radii = domains["radius"]
 
     @functools.cache
     def normalized_case(case_type: CaseKind) -> DateIndexedSeries:
@@ -133,33 +133,26 @@ def run_sweep(
         first = panels[preprocess].start_date + timedelta(days=window - 1)
         return metric_series_from_matrices(matrices, first, metric, threshold)
 
-    scores = np.full(len(cfgs), np.nan)
-    statuses = ["ok"] * len(cfgs)
-
-    def fail(index: int, exc: WarpwatchError) -> None:
-        statuses[index] = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
-
-    for window, radius in dict.fromkeys((w, r) for _, _, _, w, _, r in cfgs):
-        stacks: dict[int, list] = {}  # series length -> [(index, case values, metric values)]
-        for index, (metric, preprocess, threshold, w, case_type, r) in enumerate(cfgs):
-            if (w, r) != (window, radius):
-                continue
-            try:
-                case = normalized_case(case_type)
-                series = metric_values(metric, preprocess, threshold, window)
-                case, series = align_ranges(case, series)
-                stacks.setdefault(len(case.values), []).append((index, case.values, series.values))
-            except WarpwatchError as exc:
-                fail(index, exc)
-        for stack in stacks.values():
-            indices, xs, ys = zip(*stack)
-            try:
-                scores[list(indices)] = dtw(xs, ys, BandSpec(radius))
-            except WarpwatchError as exc:
-                for index in indices:
-                    fail(index, exc)
-    status = np.array(statuses)
-    return np.rec.fromarrays([scores, status, status == "ok"], names="score,status,ok")
+    scores = np.full((len(pairs), len(radii)), np.nan)
+    statuses = ["ok"] * len(pairs)
+    stacks: dict[int, list] = {}  # series length -> [(pair index, case values, metric values)]
+    for index, (metric, preprocess, threshold, window, case_type) in enumerate(pairs):
+        try:
+            case = normalized_case(case_type)
+            series = metric_values(metric, preprocess, threshold, window)
+            case, series = align_ranges(case, series)
+            stacks.setdefault(len(case.values), []).append((index, case.values, series.values))
+        except WarpwatchError as exc:
+            statuses[index] = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
+    for stack in stacks.values():
+        indices, xs, ys = zip(*stack)
+        for column, radius in enumerate(radii):
+            # a stack's pairs share one length, so every band is feasible, and case series are
+            # normalized and metric values lie in [0, 1], so no distance overflows: dtw cannot fail
+            scores[list(indices), column] = dtw(xs, ys, BandSpec(radius))
+    # radius is the last parameter, so the raveled (pair, radius) grid is in lattice order
+    status = np.repeat(statuses, len(radii))
+    return np.rec.fromarrays([scores.ravel(), status, status == "ok"], names="score,status,ok")
 
 
 def optimal_configs(results: np.recarray, domains: Mapping[str, Sequence] = DOMAINS) -> list[tuple[dict, float]]:
@@ -193,10 +186,10 @@ def summarize_parameter(
     if parameter not in PARAMETER_NAMES:
         raise ValueError(f"unknown parameter {parameter!r}")
     scores = results.score.reshape(lattice_shape(domains))
-    groups: dict[str, list[float]] = {}
+    groups: dict[str, np.ndarray] = {}
     for i, value in enumerate(domains[parameter]):
         member = scores.take(i, PARAMETER_NAMES.index(parameter))
-        if scored := member[~np.isnan(member)].tolist():
+        if (scored := member[~np.isnan(member)]).size:
             groups[str(level_label(value))] = scored
     if not groups:
         raise ValueError(f"no successful results to summarize for {parameter!r}")

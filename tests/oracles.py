@@ -8,6 +8,7 @@ share no code path with the implementations they check.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from warpwatch.dtw import BandSpec
@@ -122,3 +123,36 @@ def distance_correlation_oracle(x, y) -> float:
 
     dcov2, dvarx2, dvary2 = mean_product(a, b), mean_product(a, a), mean_product(b, b)
     return min(1.0, math.sqrt(max(dcov2, 0.0) / math.sqrt(dvarx2 * dvary2)))
+
+
+
+def kruskal_wallis_h_oracle(groups) -> float:
+    """Tie-corrected Kruskal-Wallis H by loops (0 when every value is equal).
+
+    Ranks come from a stable ``sorted`` and runs of equal values from
+    ``itertools.groupby``; each group's rank sum and H's terms are added
+    left to right, so the float operations are those ``stats.kruskal_wallis``
+    does, in the same order.
+    """
+    pooled = [float(v) for g in groups for v in g]
+    n = len(pooled)
+    order = sorted(range(n), key=pooled.__getitem__)
+    ranks = [0.0] * n
+    tie_sum = start = 0
+    for _, run in itertools.groupby(order, key=pooled.__getitem__):
+        run = list(run)
+        t = len(run)
+        for k in run:
+            ranks[k] = (2 * start + t + 1) / 2.0
+        tie_sum += t ** 3 - t
+        start += t
+    h, start = 0.0, 0
+    for g in groups:
+        r_sum = 0.0
+        for r in ranks[start : start + len(g)]:
+            r_sum += r
+        h += r_sum * r_sum / len(g)
+        start += len(g)
+    h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
+    correction = 1.0 - tie_sum / (n ** 3 - n)
+    return 0.0 if correction == 0.0 else max(h / correction, 0.0)

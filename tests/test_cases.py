@@ -117,6 +117,10 @@ class TestDailyCounts:
         assert tuple(out.values) == (0.0, 3.0, 0.0, 1.0, 0.0)
         assert out.start_date == MAR16
 
+    def test_end_before_start_rejected(self):
+        with pytest.raises(ValueError, match="invalid range: 2020-03-18 after 2020-03-16"):
+            daily_confirmed(records(record(1)), day(2), MAR16)
+
     def test_no_records_gives_zero_series(self):
         out = daily_confirmed(records(), MAR16, day(2))
         assert tuple(out.values) == (0.0, 0.0, 0.0)

@@ -819,21 +819,49 @@ class TestExitCodes:
              "--radius must be nonnegative, got -1"),
             (["preprocess", "--segments", "{segments}", "--weekly", "{bad_weekly}", "--method", "rescale"],
              "keyword 'cough': week starts must be 7 days apart, got 2020-03-16 then 2020-03-24 (line 3)"),
+            (CASES + ["--start", "2020-03-01", "--end", "2020-02-01"], "--end 2020-02-01 precedes --start 2020-03-01"),
+            (SWEEP + ["--start", "2020-03-01", "--end", "2020-02-01"], "--end 2020-02-01 precedes --start 2020-03-01"),
+            (["preprocess", "--segments", "{segments}", "--weekly", "{fever_weekly}", "--method", "rescale"],
+             "keyword 'cough' missing from the weekly reference"),
+            (["preprocess", "--segments", "{twin_segments}", "--method", "msv"],
+             "keywords 'sore throat' and 'sore_throat' map to the same file name sore_throat.csv"),
+            (["metrics", "--panel-dir", "{empty_dir}", "--metric", "density", "--threshold", "0.5", "--window", "15"],
+             "no CSV series found in {empty_dir}"),
+            (SWEEP + ["--config", "{bad_json}"], "bad sweep config: Expecting value: line 1 column 1 (char 0)"),
+            (SWEEP + ["--config", "{list_json}"], "sweep config must be a JSON object of parameter arrays"),
+            (SWEEP + ["--config", "{no_thresholds}"], "sweep parameter 'threshold' must be a non-empty array"),
+            ([arg for arg in SWEEP if "weekly" not in arg], "--weekly is required when the sweep includes the rescale method"),
         ],
     )
     def test_user_error_exits_2_with_message(self, tmp_path, sweep_inputs, capsys, argv, message):
         assert run("synth", "--length", 20, "--outdir", tmp_path / "synth") == 0
         (tmp_path / "weekly.csv").write_text(BAD_WEEKLY)
+        (tmp_path / "fever_weekly.csv").write_text("keyword,week_start,value\nfever,2020-03-16,50\n")
+        # two keywords whose file names collide, each with the full segments of a fixture keyword
+        header, *rows = Path(sweep_inputs.segments).read_text().splitlines()
+        twins = [row.replace("cough,", "sore throat,", 1) for row in rows if row.startswith("cough,")]
+        twins += [row.replace("fever,", "sore_throat,", 1) for row in rows if row.startswith("fever,")]
+        (tmp_path / "twins.csv").write_text("\n".join([header, *twins]) + "\n")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "bad.json").write_text("threshold: 0.5\n")
+        (tmp_path / "list.json").write_text('[{"threshold": [0.5]}]\n')
+        (tmp_path / "no_thresholds.json").write_text('{"threshold": []}\n')
         paths = {
             "linelist": sweep_inputs.linelist,
             "segments": sweep_inputs.segments,
             "weekly": sweep_inputs.weekly,
             "bad_weekly": tmp_path / "weekly.csv",
+            "fever_weekly": tmp_path / "fever_weekly.csv",
+            "twin_segments": tmp_path / "twins.csv",
+            "empty_dir": tmp_path / "empty",
+            "bad_json": tmp_path / "bad.json",
+            "list_json": tmp_path / "list.json",
+            "no_thresholds": tmp_path / "no_thresholds.json",
             "case": tmp_path / "synth" / "case.csv",
         }
         capsys.readouterr()
         assert run(*[arg.format(**paths) for arg in argv], "--outdir", tmp_path / "o") == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
 
     def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
         assert run("synth", "--length", 20, "--outdir", tmp_path / "synth") == 0

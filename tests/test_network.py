@@ -132,6 +132,10 @@ class TestDistanceCorrelation:
             DCOR_123_132, abs=1e-12
         )
 
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="inputs must be 1-dimensional"):
+            distance_correlation([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             distance_correlation((1, 2, 3), (1, 2))
@@ -466,6 +470,14 @@ class TestKeywordPanel:
     def test_requires_unique_keywords(self):
         with pytest.raises(ValueError):
             KeywordPanel(("a", "a"), START, [[1.0, 2.0], [1.0, 2.0]])
+
+    def test_requires_one_row_per_keyword(self):
+        with pytest.raises(ValueError, match="one row of values per keyword required"):
+            KeywordPanel(("a", "b"), START, [[1.0, 2.0]])
+
+    def test_from_mapping_requires_a_keyword(self):
+        with pytest.raises(ValueError, match="panel must hold at least one keyword"):
+            KeywordPanel.from_mapping({})
 
     def test_values_are_read_only(self):
         p = panel_of([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpwatch.errors import DegenerateGroupsError, NonFiniteValueError
-from warpwatch.stats import chi_square_sf, kruskal_wallis, rank_with_ties
+from warpwatch.stats import _ranks_and_ties, chi_square_sf, kruskal_wallis, rank_with_ties
+
+from oracles import kruskal_wallis_h_oracle
 
 value_lists = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=2, max_size=25
@@ -39,6 +41,11 @@ class TestRankWithTies:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteValueError, match=f"non-finite value {bad!r}"):
             rank_with_ties([1.0, bad, 2.0])
+
+    def test_tie_sum_of_a_run_whose_cube_leaves_int64(self):
+        t = 2**21 + 1
+        ranks, tie_sum = _ranks_and_ties(np.zeros(t))
+        assert tie_sum == t**3 - t and ranks[0] == (t + 1) / 2
 
     @given(value_lists)
     @settings(max_examples=200, deadline=None)
@@ -182,6 +189,18 @@ class TestKruskalWallis:
         assert 0.0 <= p <= 1.0
 
 
+class TestLoopOracle:
+    @given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 1e-300]) | st.floats(-1e3, 1e3, allow_nan=False),
+                             min_size=1, max_size=30), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_h_and_p_are_bit_identical_to_the_loop_oracle(self, groups):
+        if sum(map(len, groups)) < 3:
+            return
+        h, p = kruskal_wallis(groups)
+        assert h == kruskal_wallis_h_oracle(groups)
+        assert p == chi_square_sf(h, len(groups) - 1)
+
+
 class TestScipyCrossCheck:
     """Agreement with scipy.stats on random groups, beyond C09's fixed cases."""
 
@@ -206,6 +225,22 @@ class TestScipyCrossCheck:
             assert p == pytest.approx(expected.pvalue, rel=1e-12, abs=1e-13)
             checked += 1
         assert checked >= 350
+
+    def test_rank_with_ties_matches_scipy_rankdata(self):
+        stats = pytest.importorskip("scipy.stats")
+        # up to 300 values drawn from at most 32 levels give long runs of ties; -0.0 and 0.0 are one value
+        levels = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=30)
+        values = st.tuples(levels, st.integers(1, 300)).flatmap(
+            lambda drawn: st.lists(st.sampled_from([-0.0, 0.0, *drawn[0]]), min_size=drawn[1], max_size=drawn[1])
+        )
+
+        @given(values)
+        @settings(max_examples=40, deadline=None)
+        def check(values):
+            assert rank_with_ties(values) == stats.rankdata(values, method="average").tolist()
+
+        check()
+        assert rank_with_ties([0.0, -0.0, 0.0, -1.0]) == [3.0, 3.0, 3.0, 1.0]
 
     def test_all_identical_pool_is_defined_where_scipy_is_not(self):
         stats = pytest.importorskip("scipy.stats")

@@ -87,6 +87,10 @@ class TestLattice:
         assert lattice_shape() == (2, 2, 4, 2, 2, 5)
         assert len(set(product())) == math.prod(lattice_shape()) == 320
 
+    def test_radius_is_the_last_parameter(self):
+        # run_sweep scores a (pair, radius) grid and ravels it: lattice order only while radius comes last
+        assert PARAMETER_NAMES[-1] == "radius"
+
     def test_product_arithmetic(self):
         assert 2 * 2 * 4 * 2 * 2 * 5 == 320
 
@@ -155,7 +159,7 @@ class TestRunSweep:
 
     def test_stages_are_shared_across_the_full_lattice(self, monkeypatch):
         panels, cases = panels_and_cases()
-        calls = {"corr": [], "metric": [], "dtw": []}
+        calls = {"corr": [], "metric": [], "align": [], "dtw": []}
 
         def counting_corr(panel, window, _inner=sweep.correlation_matrix_sequence):
             calls["corr"].append((id(panel), window))
@@ -165,12 +169,17 @@ class TestRunSweep:
             calls["metric"].append((id(stack), kind, theta))
             return _inner(stack, first, kind, theta)
 
+        def counting_align(a, b, _inner=sweep.align_ranges):
+            calls["align"].append((a, b))
+            return _inner(a, b)
+
         def counting_dtw(x, y, band, _inner=sweep.dtw):
             calls["dtw"].append((band.radius, x, y))
             return _inner(x, y, band)
 
         monkeypatch.setattr(sweep, "correlation_matrix_sequence", counting_corr)
         monkeypatch.setattr(sweep, "metric_series_from_matrices", counting_metric)
+        monkeypatch.setattr(sweep, "align_ranges", counting_align)
         monkeypatch.setattr(sweep, "dtw", counting_dtw)
         results = run_sweep(panels, cases)
         assert len(results) == 320 and results.ok.all()
@@ -179,8 +188,11 @@ class TestRunSweep:
             {(id(panels[p]), w) for p in Preprocess for w in (15, 30)}
         )
         assert len(calls["metric"]) == len(set(calls["metric"])) == 32
-        # one stacked call per (window, radius); together the stacks hold each
-        # configuration's aligned (case, metric) pair exactly once
+        # once per (metric, preprocess, threshold, window, case_type) pair, whatever the radius
+        assert len(calls["align"]) == 64
+        assert len({(id(a), id(b)) for a, b in calls["align"]}) == 64
+        # one stacked call per (radius, aligned length), here one length per window;
+        # together the stacks hold each configuration's aligned (case, metric) pair exactly once
         assert len(calls["dtw"]) == 10
         stacked = Counter(
             (radius, x.tobytes(), y.tobytes())
@@ -340,6 +352,10 @@ class TestSummaries:
         domains = {**DOMAINS, **{name: DOMAINS[name][:1] for name in PARAMETER_NAMES}, "radius": (7, 50)}
         with pytest.raises(DegenerateGroupsError, match="^radius: need at least 3 values"):
             summarize_parameter(records([7.0, 50.0]), "radius", domains)
+
+    def test_no_scored_configuration_rejected(self):
+        with pytest.raises(ValueError, match="no successful results to summarize for 'window'"):
+            summarize_parameter(records(np.full(320, np.nan)), "window")
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,12 @@ class TestCsvRoundTrip:
             read_series_csv(str(path))
         assert exc.value.line == 2
 
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,value\n")
+        with pytest.raises(EmptySeriesError, match="holds a header but no rows"):
+            read_series_csv(str(path))
+
     def test_gap_detected_on_read(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("date,value\n2020-03-16,1\n2020-03-18,2\n")

@@ -158,6 +158,10 @@ class TestRescaleDaily:
         assert tuple(out.values) == tuple([50.0] * 30)
         assert out.start_date == MAR16
 
+    def test_no_segments(self):
+        with pytest.raises(CoverageError, match="no segments supplied"):
+            rescale_daily(segments_of(segment(0, [10.0] * 30))[:0], weekly([50.0] * 5))
+
     def test_zero_weekly_value_zeroes_the_week(self):
         out = rescale_daily(segments_of(segment(0, [10.0] * 30)), weekly([50, 0, 50, 50, 50]))
         assert tuple(out.values[7:14]) == tuple([0.0] * 7)
@@ -235,6 +239,10 @@ class TestMsvMerge:
         out = msv_merge(segments_of(seg1, seg2))
         # ratios are invariant to the final max-to-100 rescale
         assert out.values[30] / out.values[29] == pytest.approx((30.0 * 2) / 20.0)
+
+    def test_no_segments(self):
+        with pytest.raises(NoOverlapError, match="no segments supplied"):
+            msv_merge(segments_of(segment(0, [10.0] * 30))[:0])
 
     def test_zero_denominator_days_excluded(self):
         # overlap pair (0, 10) vs (0, 5): only the second day contributes
