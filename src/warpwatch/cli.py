@@ -141,8 +141,10 @@ def _reconstruct(
 ) -> dict[Preprocess, dict[str, DateIndexedSeries]]:
     """Daily series per keyword, in keyword order, for each reconstruction method."""
     segments = load_segments(segments_path)
-    keywords, firsts = np.unique(segments["keyword"], return_index=True)
-    by_keyword = dict(zip(keywords.tolist(), np.split(segments, firsts[1:])))
+    # sorted by keyword, so each keyword's segments are one run
+    keywords = segments["keyword"]
+    runs = np.split(segments, np.flatnonzero(keywords[1:] != keywords[:-1]) + 1)
+    by_keyword = {str(run["keyword"][0]): run for run in runs}
     weekly = load_weekly(weekly_path) if Preprocess.RESCALE in methods else {}
     by_method: dict[Preprocess, dict[str, DateIndexedSeries]] = {}
     for method in methods:

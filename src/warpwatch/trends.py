@@ -37,7 +37,7 @@ from .timeseries import (
 
 SEGMENT_DAYS = 30
 _START_BITS = 22  # every day ordinal, up to date.max's, is below 2**22
-_FILL_ROWS = 1024  # segments copied at a time by ``segment_array`` with ``rows``
+_MOVE_ROWS = 1024  # records moved at a time when ``_segments_from_columns`` widens them
 
 SEGMENT_HEADER = ("keyword", "segment_start", "date", "value")
 WEEKLY_HEADER = ("keyword", "week_start", "value")
@@ -45,28 +45,25 @@ WEEKLY_HEADER = ("keyword", "week_start", "value")
 logger = logging.getLogger(__name__)
 
 
-def segment_array(keywords: Sequence[str], starts, values, rows=None) -> np.ndarray:
+def segment_array(keywords: Sequence[str], starts, values) -> np.ndarray:
     """Read-only structured array with one element per segment, in the order given.
 
     Fields: ``keyword`` (str), ``start`` (the int64 day ordinal of the
     first day) and ``values`` (its 30 float64 scores). Scores are checked
-    where they are used, by ``rescale_daily`` and ``msv_merge``. With
-    ``rows``, segment i takes the scores ``values[rows[i]]``, copied a
-    slice at a time.
+    where they are used, by ``rescale_daily`` and ``msv_merge``.
     """
     keywords = np.asarray(keywords, dtype=str)
     values = np.asarray(values, dtype=float)
-    if values.shape[1:] != (SEGMENT_DAYS,) or (rows is None and len(values) != len(keywords)):
+    if values.shape[1:] != (SEGMENT_DAYS,) or len(values) != len(keywords):
         raise ValueError(f"segments must hold exactly {SEGMENT_DAYS} values each, got shape {values.shape}")
-    segments = np.empty(len(keywords), dtype=[("keyword", keywords.dtype), ("start", np.int64), ("values", float, SEGMENT_DAYS)])
-    segments["keyword"], segments["start"] = keywords, starts
-    if rows is None:
-        segments["values"] = values
-    else:
-        for i in range(0, len(segments), _FILL_ROWS):
-            segments["values"][i : i + _FILL_ROWS] = values[rows[i : i + _FILL_ROWS]]
+    segments = np.empty(len(keywords), dtype=_segment_dtype(keywords.dtype))
+    segments["keyword"], segments["start"], segments["values"] = keywords, starts, values
     segments.flags.writeable = False
     return segments
+
+
+def _segment_dtype(keyword: np.dtype) -> np.dtype:
+    return np.dtype([("keyword", keyword), ("start", np.int64), ("values", float, SEGMENT_DAYS)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +116,14 @@ def load_segments(path: str) -> np.ndarray:
 
 def _segments_from_columns(path: str) -> np.ndarray | None:
     """``load_segments`` of a plain, valid file with array operations, one
-    block of lines at a time; None otherwise."""
-    # scores by segment, as many as the file could hold at 25 bytes a row; pages never written stay out of memory
-    grid = np.empty((os.path.getsize(path) // (25 * SEGMENT_DAYS), SEGMENT_DAYS))
+    block of lines at a time; None otherwise. The result is built in the
+    buffer the scores are scattered into, with no second copy of them."""
+    # one (start, scores) record per segment, as many as the file could hold at 25 bytes a row, widened in
+    # place into the result at the end; pages never written stay out of memory
+    records = np.empty(os.path.getsize(path) // (25 * SEGMENT_DAYS), dtype=[("start", np.int64), ("values", float, SEGMENT_DAYS)])
+    grid = records["values"]
     names: dict[str, int] = {}  # keyword codes
-    ids: dict[int, int] = {}  # segment's row in ``grid`` by its code << _START_BITS | start
+    ids: dict[int, int] = {}  # segment's record by its code << _START_BITS | start
     rows = 0
     for columns in read_plain_blocks(path, SEGMENT_HEADER, floats=("value",), exact=True):
         if columns is None:
@@ -154,12 +154,20 @@ def _segments_from_columns(path: str) -> np.ndarray | None:
     # each segment must hold offsets 0..29 exactly once
     if rows != len(ids) * SEGMENT_DAYS or np.isnan(grid[: len(ids)]).any():
         return None
-    codes, starts = np.divmod(np.fromiter(ids, dtype=np.int64, count=len(ids)), 1 << _START_BITS)
-    del ids  # its tables go before the result is allocated: 0.25 MB off the peak
+    codes, records["start"][: len(ids)] = np.divmod(np.fromiter(ids, dtype=np.int64, count=len(ids)), 1 << _START_BITS)
+    del ids  # its tables go before the records widen: 0.2-0.4 MB off the peak
     labels = np.array(list(names))
-    # sorted on each keyword's rank among ``labels``, so the keyword strings are built once, in order
-    order = np.lexsort((starts, np.argsort(np.argsort(labels))[codes]))
-    return segment_array(labels[codes[order]], starts[order], grid, order)
+    dtype, n = _segment_dtype(labels.dtype), len(codes)
+    # widened in place unless the records outgrow the buffer (one long keyword among many short ones); moved from
+    # the last chunk back, each chunk copied out first, so no record is overwritten before it moves
+    fits = n * dtype.itemsize <= records.nbytes
+    segments = records.view(np.uint8)[: n * dtype.itemsize].view(dtype) if fits else np.empty(n, dtype)
+    for i in range((n - 1) // _MOVE_ROWS * _MOVE_ROWS, -1, -_MOVE_ROWS):
+        chunk, part = records[i : min(i + _MOVE_ROWS, n)].copy(), segments[i : i + _MOVE_ROWS]
+        part["start"], part["values"], part["keyword"] = chunk["start"], chunk["values"], labels[codes[i : i + _MOVE_ROWS]]
+    segments.sort(order=["keyword", "start"])  # keys are unique, so any sort gives the row parser's order; the default allocates no buffer
+    segments.flags.writeable = False
+    return segments
 
 
 def _segments_from_rows(path: str) -> np.ndarray:

@@ -423,6 +423,53 @@ class TestBlockEdges:
         assert linelist_key(("ok", fast)) == linelist_key(outcome(cases._linelist_from_rows, str(path), "NCR", "NCR"))
 
 
+class TestInPlaceWidening:
+    """Files over COLUMNAR_MIN_BYTES, whose per-segment records the
+    columnar path widens into its result in place, or copies out when
+    they outgrow the buffer reserved from the file's size: dtype and
+    bytes must be the row parser's."""
+
+    DAYS = [str(BASE + timedelta(days=n)) for n in range(1300)]
+
+    def rows(self, keyword, offset):
+        return [f"{keyword},{self.DAYS[offset]},{self.DAYS[offset + i]},{(7 * offset + i) % 100}.25" for i in range(30)]
+
+    def check(self, tmp_path, lines):
+        path = tmp_path / "segments.csv"
+        path.write_text("\n".join([SEGMENT_HEADER, *lines]) + "\n", encoding="ascii")
+        assert path.stat().st_size >= COLUMNAR_MIN_BYTES
+        fast, rows = trends._segments_from_columns(str(path)), trends._segments_from_rows(str(path))
+        assert fast is not None and fast.dtype == rows.dtype and fast.tobytes() == rows.tobytes()
+        assert not fast.flags.writeable
+        return path, fast
+
+    def test_keywords_out_of_order_with_the_widest_last_and_a_segment_across_a_block_edge(self, tmp_path):
+        keywords = ("papaya", "kiwi", "zucchini", "apple", "dragon fruit smoothie")
+        path, fast = self.check(tmp_path, [row for k in keywords for s in range(220) for row in self.rows(k, s)])
+        assert fast.dtype["keyword"] == np.dtype("U21") and not fast.flags.owndata  # widened in place
+        assert fast["keyword"][0] == "apple" and fast["keyword"][-1] == "zucchini"
+        first_block = next(read_plain_blocks(str(path), trends.SEGMENT_HEADER, floats=("value",), exact=True))
+        assert timeseries._SCAN_BYTES == 1 << 17 and len(first_block["keyword"]) % 30  # the edge cuts a segment
+
+    def test_interleaved_segments(self, tmp_path):
+        # two segments' rows alternate, so every row starts a run of its own
+        pairs = [zip(self.rows(k, s), self.rows(k, s + 1)) for s in range(0, 560, 2) for k in ("flu", "cough")]
+        self.check(tmp_path, [row for pair in pairs for both in pair for row in both])
+
+    def test_records_that_outgrow_the_buffer_are_copied_out(self, tmp_path):
+        lines = [row for s in range(1200) for row in self.rows("k", s)] + self.rows("w" * 200, 0)
+        _, fast = self.check(tmp_path, lines)
+        assert fast.dtype["keyword"] == np.dtype("U200") and fast.flags.owndata
+
+    @pytest.mark.parametrize("text", ["", SEGMENT_HEADER + "\n"], ids=["empty", "header only"])
+    def test_an_empty_or_header_only_file_steps_aside(self, tmp_path, text):
+        path = tmp_path / "segments.csv"
+        path.write_text(text, encoding="ascii")
+        assert trends._segments_from_columns(str(path)) is None
+        error = outcome(load_segments, str(path))
+        assert error[1] is ParseError and error == outcome(trends._segments_from_rows, str(path))
+
+
 def test_loader_memory_is_bounded_and_flat_in_the_file_size(tmp_path):
     """Beyond its result and one staging copy of the same size, a columnar
     loader holds one block's working set, however large the file."""
@@ -500,7 +547,9 @@ def test_loaders_leave_little_beyond_their_result_resident(tmp_path):
     its 1.53 MiB result. Bounds are the largest of five measurements of
     these loaders (2-vCPU x86-64 Linux, glibc) plus about 0.5 MiB: over its
     result the line list held 0.70 MiB and peaked at 1.28-1.40 MiB, the
-    segment file (3.24 MiB result) held 2.60 MiB and peaked at 5.13-5.71 MiB."""
+    segment file (3.24 MiB result) held 2.0-2.2 MiB and peaked at
+    2.0-2.8 MiB, built in the buffer its scores are scattered into (it
+    peaked at 5.13-5.80 MiB while they sat in a grid beside the result)."""
     rng = random.Random(5)
     day = lambda n: BASE + timedelta(days=n)
     # a third of the pool in the region, padded; the file draws its 300k rows from the pool at random
@@ -521,7 +570,7 @@ def test_loaders_leave_little_beyond_their_result_resident(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for which, path, held_bound, peak_bound in (
         ("linelist", linelist, 1.25 * 2**20, 2.0 * 2**20),
-        ("segments", segments, 3.25 * 2**20, 6.25 * 2**20),
+        ("segments", segments, 3.25 * 2**20, 3.5 * 2**20),
     ):
         out = subprocess.run([sys.executable, "-c", RESIDENT_PROBE, which, str(path)],
                              capture_output=True, text=True, env=env, check=True).stdout
