@@ -27,21 +27,18 @@ def main() -> int:
     parser.add_argument("--lags", type=int, nargs="+", default=[0, 5, 10, 20, 40])
     args = parser.parse_args()
 
-    header = ["lag"] + [f"r={r}" for r in RADII] + ["unconstrained"]
-    print("  ".join(f"{h:>14}" for h in header))
     for lag in args.lags:
         if not 0 <= lag < args.length:
             parser.error(f"lag {lag} outside [0, {args.length})")
-        case, metric = synth_pair(
-            SyntheticScenario(args.length, lag, args.noise, args.seed)
-        )
-        row = [f"{lag:>14}"]
-        for radius in RADII:
-            distance = dtw(case.values, metric.values, BandSpec(radius)).distance
-            row.append(f"{distance:>14.4f}")
-        distance = dtw(case.values, metric.values, BandSpec()).distance
-        row.append(f"{distance:>14.4f}")
-        print("  ".join(row))
+    pairs = [synth_pair(SyntheticScenario(args.length, lag, args.noise, args.seed)) for lag in args.lags]
+    cases, metrics = [case.values for case, _ in pairs], [metric.values for _, metric in pairs]
+    # one stacked call per band scores every lag
+    columns = [dtw(cases, metrics, BandSpec(radius)) for radius in (*RADII, None)]
+
+    header = ["lag"] + [f"r={r}" for r in RADII] + ["unconstrained"]
+    print("  ".join(f"{h:>14}" for h in header))
+    for lag, distances in zip(args.lags, zip(*columns)):
+        print("  ".join([f"{lag:>14}"] + [f"{distance:>14.4f}" for distance in distances]))
     return 0
 
 

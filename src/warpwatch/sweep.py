@@ -96,9 +96,9 @@ def run_sweep(
     ``results.score.reshape(lattice_shape(domains))`` is the lattice.
 
     A configuration is a (metric, preprocess, threshold, window, case
-    type) pair under one radius. Each pair is aligned once; the aligned
-    pairs are stacked by length, and one ``dtw`` call per (radius,
-    length) scores a stack.
+    type) pair under one radius. Each pair is aligned once, and one
+    ``dtw`` call per radius scores every aligned pair as one stack whose
+    rows may differ in length.
 
     Three memoised stages feed the pairs, each computed on first use and
     shared by every pair that needs it: the normalized case series per
@@ -135,19 +135,19 @@ def run_sweep(
 
     scores = np.full((len(pairs), len(radii)), np.nan)
     statuses = ["ok"] * len(pairs)
-    stacks: dict[int, list] = {}  # series length -> [(pair index, case values, metric values)]
+    aligned = []  # (pair index, case values, metric values)
     for index, (metric, preprocess, threshold, window, case_type) in enumerate(pairs):
         try:
             case = normalized_case(case_type)
             series = metric_values(metric, preprocess, threshold, window)
             case, series = align_ranges(case, series)
-            stacks.setdefault(len(case.values), []).append((index, case.values, series.values))
+            aligned.append((index, case.values, series.values))
         except WarpwatchError as exc:
             statuses[index] = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
-    for stack in stacks.values():
-        indices, xs, ys = zip(*stack)
+    if aligned:
+        indices, xs, ys = zip(*aligned)
         for column, radius in enumerate(radii):
-            # a stack's pairs share one length, so every band is feasible, and case series are
+            # a pair's aligned series share one length, so every band is feasible, and case series are
             # normalized and metric values lie in [0, 1], so no distance overflows: dtw cannot fail
             scores[list(indices), column] = dtw(xs, ys, BandSpec(radius))
     # radius is the last parameter, so the raveled (pair, radius) grid is in lattice order

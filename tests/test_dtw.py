@@ -50,6 +50,24 @@ def stacked_pairs(draw):
     return xs, ys, draw(st.sampled_from([None, *range(10)]))
 
 
+@st.composite
+def ragged_pairs(draw):
+    """2-6 row pairs with lengths drawn row by row, every pair inside a drawn radius."""
+    radius = draw(st.sampled_from([None, *range(10)]))
+    spread = 10 if radius is None else radius
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        st.floats(-5.0, 5.0, allow_nan=False),
+    ]))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(2, 6))):
+        n = draw(st.integers(1, 30))
+        m = draw(st.integers(max(1, n - spread), n + spread))
+        xs.append(draw(arrays(np.float64, n, elements=values)))
+        ys.append(draw(arrays(np.float64, m, elements=values)))
+    return xs, ys, radius
+
+
 def path_is_valid(pairs, n: int, m: int, band: BandSpec) -> bool:
     if pairs[0] != (1, 1) or pairs[-1] != (n, m):
         return False
@@ -207,6 +225,32 @@ class TestStackedDtw:
                 dtw(xs, ys, band)
             return
         assert dtw(xs, ys, band).tolist() == [dtw(x, y, band).distance for x, y in zip(xs, ys)]
+
+    @given(ragged_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_distances_are_the_single_pair_distances_bit_for_bit(self, case):
+        xs, ys, radius = case
+        band = BandSpec(radius)
+        expected = np.array([dtw(x, y, band).distance for x, y in zip(xs, ys)])
+        assert dtw(xs, ys, band).tobytes() == expected.tobytes()
+
+    def test_ragged_stack_with_one_infeasible_pair_is_rejected(self):
+        xs = [np.zeros(3), np.zeros(8), np.zeros(5)]
+        ys = [np.zeros(3), np.zeros(4), np.zeros(6)]
+        assert dtw(xs, ys, BandSpec(4)).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(BandInfeasibleError, match="4 exceeds radius 3"):
+            dtw(xs, ys, BandSpec(3))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_value_in_a_ragged_row_names_its_row(self, side):
+        bad, good = [[1.0], [1.0, 2.0], [1.0, float("nan"), 3.0]], [[1.0], [2.0, 2.0], [3.0, 3.0, 3.0]]
+        x, y = (bad, good) if side == "x" else (good, bad)
+        with pytest.raises(NonFiniteValueError, match=r"nan .* in row 2$"):
+            dtw(x, y, BandSpec(1))
+
+    def test_empty_row_of_a_ragged_stack_rejected(self):
+        with pytest.raises(EmptySeriesError):
+            dtw([[1.0, 2.0], [], [3.0]], [[1.0, 2.0], [1.0], [3.0]])
 
 
 class TestProperties:

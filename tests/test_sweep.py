@@ -191,9 +191,9 @@ class TestRunSweep:
         # once per (metric, preprocess, threshold, window, case_type) pair, whatever the radius
         assert len(calls["align"]) == 64
         assert len({(id(a), id(b)) for a, b in calls["align"]}) == 64
-        # one stacked call per (radius, aligned length), here one length per window;
+        # one stacked call per radius, its rows of both aligned lengths (one per window);
         # together the stacks hold each configuration's aligned (case, metric) pair exactly once
-        assert len(calls["dtw"]) == 10
+        assert len(calls["dtw"]) == 5
         stacked = Counter(
             (radius, x.tobytes(), y.tobytes())
             for radius, xs, ys in calls["dtw"]
