@@ -9,7 +9,6 @@ aborting the sweep, and are excluded from the statistics.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from datetime import timedelta
@@ -76,18 +75,14 @@ def lattice_shape(domains: Mapping[str, Sequence] = DOMAINS) -> tuple[int, ...]:
     return tuple(len(domains[name]) for name in PARAMETER_NAMES)
 
 
-class _MissingInput(WarpwatchError):
-    """A case series or panel the sweep was not given; the message alone is the status."""
-
-
 def run_sweep(
     panels: Mapping[Preprocess, KeywordPanel],
     case_series: Mapping[CaseKind, DateIndexedSeries],
     domains: Mapping[str, Sequence] = DOMAINS,
 ) -> np.recarray:
-    """Score every configuration of ``domains`` (parameter -> levels): build
-    the metric series, min-max normalize the case series, align date
-    ranges, then run banded DTW with the case series as the warped axis.
+    """Score every configuration of ``domains`` (parameter -> levels) by
+    banded DTW between its min-max normalized case series (the warped
+    axis) and its metric series, over their common date range.
 
     The result holds one record per configuration, in ``itertools.product``
     order over the parameters as declared: ``score`` (NaN where not
@@ -95,55 +90,57 @@ def run_sweep(
     ``len`` counts configurations and iteration yields records;
     ``results.score.reshape(lattice_shape(domains))`` is the lattice.
 
-    A configuration is a (metric, preprocess, threshold, window, case
-    type) pair under one radius. Each pair is aligned once, and one
-    ``dtw`` call per radius scores every aligned pair as one stack whose
-    rows may differ in length.
+    One pass: each case series is normalized once; then, per (preprocess,
+    window), the correlation stack is built, every (metric, threshold)
+    series is derived from it and aligned with each normalized case
+    series, and the stack is dropped before the next one is built. One
+    ``dtw`` call per radius scores every aligned (case, metric) pair as one
+    stack whose rows may differ in length.
 
-    Three memoised stages feed the pairs, each computed on first use and
-    shared by every pair that needs it: the normalized case series per
-    case type, the correlation-matrix stack per (preprocess, window), and
-    the metric series per (metric, preprocess, threshold, window). A
-    ``WarpwatchError`` from any stage, or from alignment, becomes the
-    status of every radius of that pair; the case stage runs first, so
-    its error wins over the metric's. A failed stage is not memoised: it
-    is retried, and fails again before any heavy work, for each pair that
-    needs it.
+    A ``WarpwatchError`` from a stage or from alignment becomes the status
+    of every configuration that stage feeds. A failed case series is
+    never aligned, so its error wins over the panel's and the metric's;
+    when none normalizes, no stack is built.
     """
-    pairs = list(itertools.product(*(domains[name] for name in PARAMETER_NAMES if name != "radius")))
-    radii = domains["radius"]
-
-    @functools.cache
-    def normalized_case(case_type: CaseKind) -> DateIndexedSeries:
+    metrics, preprocesses, thresholds, windows, case_types, radii = (domains[name] for name in PARAMETER_NAMES)
+    status = np.full(lattice_shape(domains)[:-1], "ok", dtype=object)  # one entry per pair: every level but radius
+    cases = {}  # case-type index -> normalized series
+    for c, case_type in enumerate(case_types):
         if case_type not in case_series:
-            raise _MissingInput(f"missing case series: {case_type.value}")
-        return minmax_normalize(case_series[case_type])
-
-    @functools.cache
-    def correlations(preprocess: Preprocess, window: int) -> np.ndarray:
-        if preprocess not in panels:
-            raise _MissingInput(f"missing panel: {preprocess.value}")
-        return correlation_matrix_sequence(panels[preprocess], window)
-
-    @functools.cache
-    def metric_values(
-        metric: MetricKind, preprocess: Preprocess, threshold: float, window: int
-    ) -> DateIndexedSeries:
-        matrices = correlations(preprocess, window)
-        first = panels[preprocess].start_date + timedelta(days=window - 1)
-        return metric_series_from_matrices(matrices, first, metric, threshold)
-
-    scores = np.full((len(pairs), len(radii)), np.nan)
-    statuses = ["ok"] * len(pairs)
-    aligned = []  # (pair index, case values, metric values)
-    for index, (metric, preprocess, threshold, window, case_type) in enumerate(pairs):
+            status[..., c] = f"missing case series: {case_type.value}"
+            continue
         try:
-            case = normalized_case(case_type)
-            series = metric_values(metric, preprocess, threshold, window)
-            case, series = align_ranges(case, series)
-            aligned.append((index, case.values, series.values))
+            cases[c] = minmax_normalize(case_series[case_type])
         except WarpwatchError as exc:
-            statuses[index] = str(exc) if isinstance(exc, _MissingInput) else f"{type(exc).__name__}: {exc}"
+            status[..., c] = f"{type(exc).__name__}: {exc}"
+    aligned = []  # (raveled pair index, case values, metric values)
+    for (p, preprocess), (w, window) in itertools.product(enumerate(preprocesses), enumerate(windows)):
+        if not cases:
+            break
+        if preprocess not in panels:
+            status[:, p, :, w, list(cases)] = f"missing panel: {preprocess.value}"
+            continue
+        try:
+            stack = correlation_matrix_sequence(panels[preprocess], window)
+        except WarpwatchError as exc:
+            status[:, p, :, w, list(cases)] = f"{type(exc).__name__}: {exc}"
+            continue
+        first = panels[preprocess].start_date + timedelta(days=window - 1)
+        for (m, metric), (t, threshold) in itertools.product(enumerate(metrics), enumerate(thresholds)):
+            try:
+                series = metric_series_from_matrices(stack, first, metric, threshold)
+            except WarpwatchError as exc:
+                status[m, p, t, w, list(cases)] = f"{type(exc).__name__}: {exc}"
+                continue
+            for c, case in cases.items():
+                try:
+                    x, y = align_ranges(case, series)
+                except WarpwatchError as exc:
+                    status[m, p, t, w, c] = f"{type(exc).__name__}: {exc}"
+                    continue
+                aligned.append((np.ravel_multi_index((m, p, t, w, c), status.shape), x.values, y.values))
+        del stack
+    scores = np.full((status.size, len(radii)), np.nan)
     if aligned:
         indices, xs, ys = zip(*aligned)
         for column, radius in enumerate(radii):
@@ -151,7 +148,7 @@ def run_sweep(
             # normalized and metric values lie in [0, 1], so no distance overflows: dtw cannot fail
             scores[list(indices), column] = dtw(xs, ys, BandSpec(radius))
     # radius is the last parameter, so the raveled (pair, radius) grid is in lattice order
-    status = np.repeat(statuses, len(radii))
+    status = np.repeat(status.ravel().tolist(), len(radii))
     return np.rec.fromarrays([scores.ravel(), status, status == "ok"], names="score,status,ok")
 
 

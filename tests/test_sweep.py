@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+import weakref
 from collections import Counter
 from datetime import date, timedelta
 
@@ -160,13 +161,18 @@ class TestRunSweep:
     def test_stages_are_shared_across_the_full_lattice(self, monkeypatch):
         panels, cases = panels_and_cases()
         calls = {"corr": [], "metric": [], "align": [], "dtw": []}
+        built, alive = [], []  # a weak reference to each stack; how many earlier stacks live as each is built
 
         def counting_corr(panel, window, _inner=sweep.correlation_matrix_sequence):
             calls["corr"].append((id(panel), window))
-            return _inner(panel, window)
+            alive.append(sum(ref() is not None for ref in built))
+            stack = _inner(panel, window)
+            built.append(weakref.ref(stack))
+            return stack
 
         def counting_metric(stack, first, kind, theta, _inner=sweep.metric_series_from_matrices):
-            calls["metric"].append((id(stack), kind, theta))
+            # a freed stack's id can be reused, so a stack is named by its place in build order
+            calls["metric"].append((next(i for i, ref in enumerate(built) if ref() is stack), kind, theta))
             return _inner(stack, first, kind, theta)
 
         def counting_align(a, b, _inner=sweep.align_ranges):
@@ -188,6 +194,8 @@ class TestRunSweep:
             {(id(panels[p]), w) for p in Preprocess for w in (15, 30)}
         )
         assert len(calls["metric"]) == len(set(calls["metric"])) == 32
+        # each stack is used up and freed before the next one is built
+        assert alive == [0, 0, 0, 0]
         # once per (metric, preprocess, threshold, window, case_type) pair, whatever the radius
         assert len(calls["align"]) == 64
         assert len({(id(a), id(b)) for a, b in calls["align"]}) == 64
@@ -208,18 +216,54 @@ class TestRunSweep:
             expected[radius, case.values.tobytes(), metric.values.tobytes()] += 1
         assert stacked == expected
 
-    def test_case_error_wins_over_missing_panel(self):
-        panels = {Preprocess.RESCALE: make_panel(seed=1)}
-        cases = make_cases()
-        cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
-        domains = {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)}
-        for (_, preprocess, _, _, case_type, _), r in zip(product(domains), run_sweep(panels, cases, domains)):
+    @pytest.mark.parametrize(
+        "length, domains, expected",
+        [
+            (
+                50,
+                {**DOMAINS, "threshold": (0.5,), "window": (15,), "radius": (7,)},
+                {"DegenerateRangeError": 4, "missing panel": 2, "ok": 2},
+            ),
+            (
+                25,
+                {**DOMAINS, "radius": (7,)},
+                {"DegenerateRangeError": 32, "InsufficientHistoryError": 8, "missing panel": 16, "ok": 8},
+            ),
+        ],
+        ids=["one-stack", "stack-too-short-for-window-30"],
+    )
+    def test_case_error_wins_over_missing_panel(self, length, domains, expected):
+        panels = {Preprocess.RESCALE: make_panel(length=length, seed=1)}
+        cases = make_cases(length=length)
+        cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * length))
+        results = run_sweep(panels, cases, domains)
+        for (_, preprocess, _, window, case_type, _), r in zip(product(domains), results):
             if case_type is CaseKind.ACTIVE:
                 assert r.status.startswith("DegenerateRangeError: constant series")
             elif preprocess is Preprocess.MSV:
                 assert r.status == "missing panel: msv"
+            elif window > length:
+                assert r.status == f"InsufficientHistoryError: panel of {length} days cannot support a {window}-day window"
             else:
                 assert r.ok
+        assert Counter(status.split(":")[0] for status in results.status) == expected
+
+    def test_metric_error_fails_only_its_metric(self):
+        # a one-keyword panel makes one-node graphs: density is undefined on them, clustering is not
+        panels = {p: make_panel(n_keywords=1, seed=seed) for seed, p in enumerate(Preprocess, 1)}
+        results = run_sweep(panels, make_cases())
+        density = np.array([levels[0] is MetricKind.DENSITY for levels in product()])
+        assert density.sum() == (~density).sum() == 160
+        assert set(results.status[density]) == {"TooFewNodesError: density undefined on 1 node(s)"}
+        assert results.ok[~density].all()
+        # a case series' error wins over the metric's
+        cases = make_cases()
+        cases[CaseKind.ACTIVE] = DateIndexedSeries(START, tuple([7.0] * 50))
+        results = run_sweep(panels, cases)
+        active = np.array([levels[4] is CaseKind.ACTIVE for levels in product()])
+        assert all(status.startswith("DegenerateRangeError: constant series") for status in results.status[active])
+        assert set(results.status[density & ~active]) == {"TooFewNodesError: density undefined on 1 node(s)"}
+        assert results.ok[~density & ~active].all()
 
     def test_missing_case_series_status(self):
         panels, cases = panels_and_cases()
