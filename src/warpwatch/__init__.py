@@ -10,65 +10,28 @@ Kruskal-Wallis significance tests.
 
 __version__ = "0.1.0"
 
-from .cases import CaseKind, active_cases, daily_confirmed, daily_removed, load_linelist
-from .dtw import BandSpec, DtwResult, dtw
 from .errors import WarpwatchError
+from .timeseries import DateIndexedSeries, validate_contiguous, minmax_normalize, align_ranges, read_series_csv, write_series_csv
+from .dtw import BandSpec, DtwResult, dtw
+from .trends import segment_array, WeeklySeries, load_segments, load_weekly, rescale_daily, msv_merge
 from .network import (
     KeywordPanel,
     MetricKind,
-    clustering_coefficient,
     distance_correlation,
-    network_density,
     threshold_graph,
+    network_density,
+    clustering_coefficient,
 )
-from .stats import chi_square_sf, kruskal_wallis, rank_with_ties
+from .cases import CaseKind, load_linelist, daily_confirmed, daily_removed, active_cases
+from .stats import rank_with_ties, kruskal_wallis, chi_square_sf
 from .sweep import (
     ParameterReport,
     Preprocess,
     lattice_shape,
-    optimal_configs,
     run_sweep,
+    optimal_configs,
     summarize_parameter,
 )
-from .timeseries import DateIndexedSeries, align_ranges, minmax_normalize, read_series_csv, validate_contiguous, write_series_csv
-from .trends import WeeklySeries, load_segments, load_weekly, msv_merge, rescale_daily, segment_array
 
-__all__ = [
-    "__version__",
-    "WarpwatchError",
-    "DateIndexedSeries",
-    "validate_contiguous",
-    "minmax_normalize",
-    "align_ranges",
-    "read_series_csv",
-    "write_series_csv",
-    "BandSpec",
-    "DtwResult",
-    "dtw",
-    "segment_array",
-    "WeeklySeries",
-    "load_segments",
-    "load_weekly",
-    "rescale_daily",
-    "msv_merge",
-    "KeywordPanel",
-    "MetricKind",
-    "distance_correlation",
-    "threshold_graph",
-    "network_density",
-    "clustering_coefficient",
-    "CaseKind",
-    "load_linelist",
-    "daily_confirmed",
-    "daily_removed",
-    "active_cases",
-    "rank_with_ties",
-    "kruskal_wallis",
-    "chi_square_sf",
-    "ParameterReport",
-    "Preprocess",
-    "lattice_shape",
-    "run_sweep",
-    "optimal_configs",
-    "summarize_parameter",
-]
+# the functions, classes and enums imported above; the submodules the imports also bind are not callable, so they drop out
+__all__ = ["__version__", *(name for name, obj in globals().items() if callable(obj))]

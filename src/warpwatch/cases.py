@@ -23,7 +23,7 @@ from .timeseries import (
     COLUMNAR_MIN_BYTES,
     DateIndexedSeries,
     iso_date_ordinals,
-    parse_iso_date,
+    parse_date_field,
     read_plain_blocks,
 )
 
@@ -116,18 +116,11 @@ def _linelist_from_rows(path: str, region: str, province: str) -> np.ndarray:
             prov = row[col["ProvinceRes"]].strip()
             if not reg or not prov or reg != region or prov != province:
                 continue
-            raw_conf = row[col["DateRepConf"]].strip()
-            try:
-                conf = parse_iso_date(raw_conf)
-            except ValueError as exc:
-                raise ParseError(str(exc), reader.line_num) from exc
+            conf = parse_date_field(row[col["DateRepConf"]].strip(), reader.line_num)
             raw_rem = row[col["DateRepRem"]].strip()
             rem = 0
             if raw_rem:
-                try:
-                    rem = parse_iso_date(raw_rem).toordinal()
-                except ValueError as exc:
-                    raise ParseError(str(exc), reader.line_num) from exc
+                rem = parse_date_field(raw_rem, reader.line_num).toordinal()
             rows.append((conf.toordinal(), rem))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 

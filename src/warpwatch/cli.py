@@ -202,9 +202,8 @@ def _cmd_metrics(args) -> int:
         raise UsageError(f"--threshold must lie in (0, 1], got {args.threshold}")
     panel = _load_panel(args.panel_dir)
     manifest = _manifest(args, [str(p) for p in sorted(Path(args.panel_dir).glob("*.csv"))])
-    first = panel.start_date + timedelta(days=args.window - 1)
     matrices = correlation_matrix_sequence(panel, args.window)
-    series = metric_series_from_matrices(matrices, first, MetricKind(args.metric), args.threshold)
+    series = metric_series_from_matrices(matrices, panel, MetricKind(args.metric), args.threshold)
     out = _outdir(args)
     write_series_csv(series, str(out / "metric.csv"), _preamble(manifest))
     print(f"wrote {len(series)} {args.metric} values to {out / 'metric.csv'}")

@@ -7,6 +7,8 @@ callers (notably the CLI) can map failures onto exit codes in one place.
 from __future__ import annotations
 
 import datetime
+import itertools
+from typing import Iterator
 
 
 class WarpwatchError(Exception):
@@ -18,13 +20,22 @@ class EmptySeriesError(WarpwatchError):
 
 
 class GapError(WarpwatchError):
-    """Daily rows do not form one unbroken run of calendar days."""
+    """Daily rows do not form one unbroken run of calendar days, held as (first missing
+    date, days missing) runs so a long gap costs no more than a short one."""
 
-    def __init__(self, missing_dates: list[datetime.date]):
-        self.missing_dates = list(missing_dates)
-        shown = ", ".join(d.isoformat() for d in self.missing_dates[:10])
-        more = "" if len(self.missing_dates) <= 10 else f" (+{len(self.missing_dates) - 10} more)"
+    def __init__(self, gaps: list[tuple[datetime.date, int]]):
+        self.gaps = list(gaps)
+        total = sum(days for _, days in self.gaps)
+        shown = ", ".join(d.isoformat() for d in itertools.islice(self._dates(), 10))
+        more = "" if total <= 10 else f" (+{total - 10} more)"
         super().__init__(f"missing dates: {shown}{more}")
+
+    def _dates(self) -> Iterator[datetime.date]:
+        return (first + datetime.timedelta(days=i) for first, days in self.gaps for i in range(days))
+
+    @property
+    def missing_dates(self) -> list[datetime.date]:
+        return list(self._dates())
 
 
 class DuplicateDateError(WarpwatchError):
@@ -64,13 +75,8 @@ class ParseError(WarpwatchError):
         super().__init__(f"{message}{where}")
 
 
-class RangeError(WarpwatchError):
-    """A relative-search-volume value fell outside [0, 100]."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = "" if line is None else f" (line {line})"
-        super().__init__(f"{message}{where}")
+class RangeError(ParseError):
+    """A relative-search-volume value fell outside [0, 100]: a ParseError, at its line when a file held it."""
 
 
 class CoverageError(WarpwatchError):

@@ -207,11 +207,12 @@ def correlation_matrix_sequence(panel: KeywordPanel, window: int) -> np.ndarray:
 
 def metric_series_from_matrices(
     matrices: np.ndarray,
-    first_date: date,
+    panel: KeywordPanel,
     metric_kind: MetricKind,
     theta: float,
 ) -> DateIndexedSeries:
-    """Threshold the ``(days, N, N)`` stack and evaluate one metric per day."""
+    """Threshold ``panel``'s ``(days, N, N)`` stack and evaluate one metric per day, the last on the panel's last day."""
     metric = network_density if metric_kind is MetricKind.DENSITY else clustering_coefficient
+    first_date = panel.end_date - timedelta(days=len(matrices) - 1)
     return DateIndexedSeries(first_date, metric(threshold_graph(matrices, theta)))
 

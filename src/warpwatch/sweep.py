@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from datetime import timedelta
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -125,10 +124,9 @@ def run_sweep(
         except WarpwatchError as exc:
             status[:, p, :, w, list(cases)] = f"{type(exc).__name__}: {exc}"
             continue
-        first = panels[preprocess].start_date + timedelta(days=window - 1)
         for (m, metric), (t, threshold) in itertools.product(enumerate(metrics), enumerate(thresholds)):
             try:
-                series = metric_series_from_matrices(stack, first, metric, threshold)
+                series = metric_series_from_matrices(stack, panels[preprocess], metric, threshold)
             except WarpwatchError as exc:
                 status[m, p, t, w, list(cases)] = f"{type(exc).__name__}: {exc}"
                 continue

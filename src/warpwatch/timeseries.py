@@ -119,21 +119,14 @@ def validate_contiguous(raw_rows: Iterable[tuple[date, float]]) -> DateIndexedSe
     rows = sorted(raw_rows, key=lambda r: r[0])
     if not rows:
         raise EmptySeriesError("no rows supplied")
-    seen: set[date] = set()
-    missing: list[date] = []
-    prev: date | None = None
-    for d, _ in rows:
-        if d in seen:
-            raise DuplicateDateError(d)
-        seen.add(d)
-        if prev is not None and d > prev + timedelta(days=1):
-            step = prev + timedelta(days=1)
-            while step < d:
-                missing.append(step)
-                step += timedelta(days=1)
-        prev = d
-    if missing:
-        raise GapError(missing)
+    gaps: list[tuple[date, int]] = []  # (first missing date, days missing)
+    for (a, _), (b, _) in zip(rows, rows[1:]):
+        if a == b:
+            raise DuplicateDateError(b)
+        if (b - a).days > 1:
+            gaps.append((a + timedelta(days=1), (b - a).days - 1))
+    if gaps:
+        raise GapError(gaps)
     return DateIndexedSeries(rows[0][0], [v for _, v in rows])
 
 
@@ -187,6 +180,14 @@ def parse_iso_date(text: str) -> date:
         return date.fromisoformat(text)
     except ValueError as exc:
         raise ValueError(message) from exc
+
+
+def parse_date_field(raw: str, line: int) -> date:
+    """``parse_iso_date`` of a field read from a file; a bad date is a ParseError at ``line``."""
+    try:
+        return parse_iso_date(raw)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from exc
 
 
 def iso_date_ordinals(column: np.ndarray) -> np.ndarray | None:
@@ -347,10 +348,7 @@ def read_series_csv(path: str) -> DateIndexedSeries:
     """Read a ``date,value`` CSV into a validated contiguous series."""
     rows: list[tuple[date, float]] = []
     for lineno, (raw_day, raw_value) in read_csv_rows(path, CSV_HEADER):
-        try:
-            d = parse_iso_date(raw_day)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        d = parse_date_field(raw_day, lineno)
         try:
             v = float(raw_value)
         except ValueError as exc:

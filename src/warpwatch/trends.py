@@ -28,7 +28,7 @@ from .timeseries import (
     COLUMNAR_MIN_BYTES,
     DateIndexedSeries,
     iso_date_ordinals,
-    parse_iso_date,
+    parse_date_field,
     read_csv_rows,
     read_only_array,
     read_plain_blocks,
@@ -175,11 +175,8 @@ def _segments_from_rows(path: str) -> np.ndarray:
     slots: dict[tuple[str, date], list[float | None]] = {}
     first_line: dict[tuple[str, date], int] = {}
     for lineno, (keyword, raw_start, raw_day, raw_value) in read_csv_rows(path, SEGMENT_HEADER):
-        try:
-            seg_start = parse_iso_date(raw_start)
-            day = parse_iso_date(raw_day)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        seg_start = parse_date_field(raw_start, lineno)
+        day = parse_date_field(raw_day, lineno)
         value = _parse_score(raw_value, lineno)
         offset = (day - seg_start).days
         if offset < 0 or offset >= SEGMENT_DAYS:
@@ -216,11 +213,7 @@ def load_weekly(path: str) -> dict[str, WeeklySeries]:
     """
     rows: dict[str, list[tuple[date, float, int]]] = {}
     for lineno, (keyword, raw_start, raw_value) in read_csv_rows(path, WEEKLY_HEADER):
-        try:
-            week_start = parse_iso_date(raw_start)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        rows.setdefault(keyword, []).append((week_start, _parse_score(raw_value, lineno), lineno))
+        rows.setdefault(keyword, []).append((parse_date_field(raw_start, lineno), _parse_score(raw_value, lineno), lineno))
     out: dict[str, WeeklySeries] = {}
     for keyword, weeks in rows.items():
         weeks.sort(key=lambda w: w[0])

@@ -337,6 +337,20 @@ class TestMetrics:
         assert len(series) == 110 - 15 + 1
         assert all(0.0 <= v <= 1.0 for v in series.values)
 
+    @pytest.mark.parametrize("window", [15, 30])
+    def test_series_is_dated_from_the_panel(self, tmp_path, panel_dir, window):
+        # day t's matrix covers [t - window + 1, t], so the series runs from the panel's day window - 1 to its last
+        panel = read_series_csv(str(sorted(panel_dir.glob("*.csv"))[0]))
+        out = tmp_path / "metrics"
+        code = run(
+            "metrics", "--panel-dir", panel_dir, "--metric", "clustering",
+            "--threshold", 0.5, "--window", window, "--outdir", out,
+        )
+        assert code == 0
+        rows = read_rows(out / "metric.csv")[1:]
+        assert rows[0][0] == (panel.start_date + timedelta(days=window - 1)).isoformat()
+        assert rows[-1][0] == panel.end_date.isoformat()
+
     def test_threshold_out_of_range_is_usage_error(self, tmp_path, panel_dir):
         code = run(
             "metrics", "--panel-dir", panel_dir, "--metric", "density",

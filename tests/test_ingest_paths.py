@@ -406,21 +406,24 @@ class TestBlockEdges:
         def refuse(text):
             raise ValueError(f"parse_iso_date({text!r}) called")
 
-        monkeypatch.setattr(timeseries, "parse_iso_date", refuse)
-        blocks, fast, rows = self.read(tmp_path, segment_lines(), size=200)
-        assert len(blocks) > 4 and fast is not None
-        assert segment_key(("ok", fast)) == segment_key(rows)
+        # the row parsers reach the strict parser through parse_date_field, so their outcomes come first
+        rows = self.read(tmp_path, segment_lines(), size=200)[2]
         path = tmp_path / "linelist.csv"
         lines = [LINELIST_HEADER] + [
             f"{('NCR', 'CALABARZON')[n % 3 == 0]},NCR,{BASE + timedelta(days=n)},{BASE + timedelta(days=n + 9) if n % 2 else ''},{n}"
             for n in range(60)
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        linelist_rows = outcome(cases._linelist_from_rows, str(path), "NCR", "NCR")
+        monkeypatch.setattr(timeseries, "parse_iso_date", refuse)
+        blocks, fast, _ = self.read(tmp_path, segment_lines(), size=200)
+        assert len(blocks) > 4 and fast is not None
+        assert segment_key(("ok", fast)) == segment_key(rows)
         with scan_bytes(100):
             blocks = list(read_plain_blocks(str(path), cases.REQUIRED_COLUMNS))
             fast = cases._linelist_from_columns(str(path), "NCR", "NCR")
         assert len(blocks) > 10 and None not in blocks and fast is not None
-        assert linelist_key(("ok", fast)) == linelist_key(outcome(cases._linelist_from_rows, str(path), "NCR", "NCR"))
+        assert linelist_key(("ok", fast)) == linelist_key(linelist_rows)
 
 
 class TestInPlaceWidening:

@@ -94,7 +94,7 @@ def per_pair_oracle(p, window, dcor=distance_correlation):
 def metric_of(p, kind, theta, window):
     """The metrics subcommand's two calls: the correlation stack, then one metric per day."""
     matrices = correlation_matrix_sequence(p, window)
-    return metric_series_from_matrices(matrices, p.start_date + timedelta(days=window - 1), kind, theta)
+    return metric_series_from_matrices(matrices, p, kind, theta)
 
 
 def panel_of(series_values, start=START):
@@ -436,7 +436,7 @@ class TestMetricSeries:
         rng = np.random.default_rng(11)
         p = panel_of([rng.uniform(0, 100, 40) for _ in range(5)])
         matrices = correlation_matrix_sequence(p, 15)
-        out = metric_series_from_matrices(matrices, START, MetricKind.CLUSTERING, 0.5)
+        out = metric_series_from_matrices(matrices, p, MetricKind.CLUSTERING, 0.5)
         assert list(out.values) == [
             clustering_coefficient(threshold_graph(m, 0.5)) for m in matrices
         ]

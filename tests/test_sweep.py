@@ -3,7 +3,7 @@ import math
 import warnings
 import weakref
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -170,10 +170,10 @@ class TestRunSweep:
             built.append(weakref.ref(stack))
             return stack
 
-        def counting_metric(stack, first, kind, theta, _inner=sweep.metric_series_from_matrices):
+        def counting_metric(stack, panel, kind, theta, _inner=sweep.metric_series_from_matrices):
             # a freed stack's id can be reused, so a stack is named by its place in build order
             calls["metric"].append((next(i for i, ref in enumerate(built) if ref() is stack), kind, theta))
-            return _inner(stack, first, kind, theta)
+            return _inner(stack, panel, kind, theta)
 
         def counting_align(a, b, _inner=sweep.align_ranges):
             calls["align"].append((a, b))
@@ -210,8 +210,7 @@ class TestRunSweep:
         stacks = {(p, w): correlation_matrix_sequence(panels[p], w) for p in Preprocess for w in (15, 30)}
         expected = Counter()
         for metric_kind, preprocess, threshold, window, case_type, radius in product():
-            first = START + timedelta(days=window - 1)
-            metric = metric_series_from_matrices(stacks[preprocess, window], first, metric_kind, threshold)
+            metric = metric_series_from_matrices(stacks[preprocess, window], panels[preprocess], metric_kind, threshold)
             case, metric = align_ranges(minmax_normalize(cases[case_type]), metric)
             expected[radius, case.values.tobytes(), metric.values.tobytes()] += 1
         assert stacked == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -104,6 +105,22 @@ class TestValidateContiguous:
         with pytest.raises(GapError) as exc:
             validate_contiguous([(days(0), 1.0), (days(4), 3.0), (days(7), 9.0)])
         assert exc.value.missing_dates == [days(1), days(2), days(3), days(5), days(6)]
+
+    def test_a_gap_of_millennia_costs_what_a_short_one_does(self, tmp_path):
+        # two rows 3.65 million days apart: the gap is held as one run, not as a list of its dates
+        path = tmp_path / "series.csv"
+        path.write_text("date,value\n0001-01-01,1.0\n9999-12-31,2.0\n", encoding="ascii")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapError) as exc:
+                read_series_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        missing = date.max.toordinal() - date.min.toordinal() - 1
+        shown = ", ".join(f"0001-01-{d:02d}" for d in range(2, 12))
+        assert str(exc.value) == f"missing dates: {shown} (+{missing - 10} more)"
 
     def test_duplicate_date(self):
         with pytest.raises(DuplicateDateError):
